@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -69,10 +70,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"violation: {exc}")
         return EXIT_FAILED
 
+    records = []
     violations = []
     for position, obj in enumerate(objects):
         try:
-            corpus_mod.record_from_object(obj, position, strict=True)
+            records.append(corpus_mod.record_from_object(obj, position, strict=True))
         except corpus_mod.SchemaError as exc:
             violations.append(str(exc))
     for violation in violations:
@@ -80,7 +82,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if violations:
         print(f"{len(violations)} violation(s) in {len(objects)} record(s)")
         return EXIT_FAILED
-    corpus_mod.build_corpus(objects, strict=True)  # surfaces non-contiguity warnings
+    corpus_mod.index_records(records)  # surfaces non-contiguity warnings
     print(f"ok: {len(objects)} record(s)")
     return EXIT_OK
 
@@ -235,9 +237,15 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     )
     print(format_matrix_table(rows))
     if args.out_dir:
+        # when every row failed, nothing has created the directory yet
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         summary = Path(args.out_dir) / "matrix.json"
         summary.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {summary}")
+    failed = [row["name"] for row in rows if "error" in row]
+    if failed:
+        print(f"{len(failed)} experiment(s) failed: {failed}", file=sys.stderr)
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -250,6 +258,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_IO
     except (corpus_mod.SchemaError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+
+    problem = _prediction_entries_problem(predictions)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_FAILED
 
     by_id = {rec.id.raw: rec for rec in corpus.records}
@@ -275,13 +288,37 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _prediction_entries_problem(predictions: object) -> str | None:
+    """Why a decoded predictions file cannot be scored, or None when it can.
+
+    It must be a list of objects with a string "id" and a string
+    "prediction", and no id may appear twice.
+    """
+    if not isinstance(predictions, list):
+        return "predictions file must hold a JSON array"
+    for index, entry in enumerate(predictions):
+        if not isinstance(entry, dict):
+            return f"predictions entry {index}: expected a JSON object"
+        for key in ("id", "prediction"):
+            if not isinstance(entry.get(key), str):
+                return f"predictions entry {index}: {key!r} must be a string"
+    duplicates = [pid for pid, n in Counter(entry["id"] for entry in predictions).items() if n > 1]
+    if duplicates:
+        return f"duplicate prediction id(s): {duplicates}"
+    return None
+
+
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
-    objects = fixtures.generate_corpus(
-        seed=args.seed,
-        n_records=args.records,
-        need_prediction_rate=args.need_prediction_rate,
-        short_rate=args.short_rate,
-    )
+    try:
+        objects = fixtures.generate_corpus(
+            seed=args.seed,
+            n_records=args.records,
+            need_prediction_rate=args.need_prediction_rate,
+            short_rate=args.short_rate,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     fixtures.write_corpus(objects, args.out)
     print(f"wrote {len(objects)} record(s) to {args.out}")
     return EXIT_OK

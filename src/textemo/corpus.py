@@ -334,7 +334,11 @@ def _parse_need_prediction(value: object, position: int) -> bool:
 
 def build_corpus(objects: Iterable[Mapping], strict: bool = False) -> Corpus:
     """Assemble a Corpus from decoded JSON objects, indexing by script key."""
-    records = [record_from_object(obj, pos, strict=strict) for pos, obj in enumerate(objects)]
+    return index_records([record_from_object(obj, pos, strict=strict) for pos, obj in enumerate(objects)])
+
+
+def index_records(records: list[UtteranceRecord]) -> Corpus:
+    """Index parsed records by script key, warning about non-contiguous scripts."""
     index: dict[str, list[int]] = {}
     for rec in records:
         index.setdefault(rec.id.script_key, []).append(rec.file_position)

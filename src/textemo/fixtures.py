@@ -35,6 +35,11 @@ _WORD_BANK = (
 _SHORT_OUTPUTS = ("Yeah", "Hi", "Oh", "Hmm", "Okay")
 
 _KINDS = ("script", "impro", "bare")
+_SESSIONS = 5
+_LETTERS = "FMZ"
+_DIALOGUE_INDICES = 9
+# Every (session, letter, kind, index) key names one dialogue, used once.
+_DIALOGUE_KEYS = _SESSIONS * len(_LETTERS) * len(_KINDS) * _DIALOGUE_INDICES
 
 
 def _sentence(rng: random.Random) -> str:
@@ -72,7 +77,8 @@ def generate_corpus(
     """Generate `n_records` corpus objects, deterministic in `seed`.
 
     Records are grouped into sessions and scripts (mixing script, impro, and
-    bare id kinds) and appear in conversation order.
+    bare id kinds) and appear in conversation order. Raises ValueError when
+    the dialogue keys run out before `n_records` records are generated.
     """
     rng = random.Random(seed)
     weights = label_weights or DEFAULT_LABEL_WEIGHTS
@@ -83,10 +89,15 @@ def generate_corpus(
     records: list[dict] = []
     used_dialogues: set[tuple[int, str, str, int]] = set()
     while len(records) < n_records:
-        session = rng.randint(1, 5)
-        letter = rng.choice("FMZ")
+        if len(used_dialogues) == _DIALOGUE_KEYS:
+            raise ValueError(
+                f"cannot generate {n_records} records: all {_DIALOGUE_KEYS} dialogue ids "
+                f"are used after {len(records)} records (seed {seed})"
+            )
+        session = rng.randint(1, _SESSIONS)
+        letter = rng.choice(_LETTERS)
         kind = rng.choice(_KINDS)
-        dialogue_index = rng.randint(1, 9)
+        dialogue_index = rng.randint(1, _DIALOGUE_INDICES)
         if (session, letter, kind, dialogue_index) in used_dialogues:
             continue
         used_dialogues.add((session, letter, kind, dialogue_index))

@@ -214,12 +214,22 @@ class CompletionCache:
         return self.directory / f"{fingerprint}.json"
 
     def load(self, fingerprint: str) -> Completion | None:
+        """The cached completion, or None on a miss.
+
+        An entry that cannot be decoded or lacks raw_text is logged and
+        treated as a miss, so the next store overwrites it.
+        """
         path = self._path(fingerprint)
         if not path.exists():
             return None
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            raw_text = data["raw_text"]
+        except (ValueError, KeyError, TypeError) as exc:
+            logger.warning("corrupt cache entry %s treated as a miss: %r", path, exc)
+            return None
         return Completion(
-            raw_text=data["raw_text"],
+            raw_text=raw_text,
             normalized_label=data.get("normalized_label"),
             from_cache=True,
             latency_ms=data.get("latency_ms", 0),

@@ -6,6 +6,12 @@ token and align against ASR outputs such as "but's". WER is the standard
 (S + D + I) / reference-length under a minimum-cost token alignment, and the
 report micro-averages within each emotion class (total edits over total
 reference tokens).
+
+Two kernels compute the alignment cost. `edit_distance` fills the full
+dynamic-programming matrix and backtraces it for the S/D/I decomposition.
+`distance` returns only the total, with the bit-vector algorithm of Myers
+(1999, J. ACM 46(3)) in the Levenshtein form of Hyyrö (2003); `wer` and
+`wer_report` use it.
 """
 
 from __future__ import annotations
@@ -112,12 +118,59 @@ def edit_distance(ref: NormalizedTokens | Sequence[str], hyp: NormalizedTokens |
     return EditOps(substitutions=subs, deletions=dels, insertions=ins)
 
 
+def _match_masks(ref: Sequence[str]) -> dict[str, int]:
+    """Token -> bitmask with bit i set where ref[i] is that token."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for token in ref:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _bit_distance(masks: dict[str, int], m: int, hyp: Sequence[str]) -> int:
+    """Levenshtein distance between the m-token reference behind `masks` and hyp.
+
+    Column j of the DP matrix is held as two m-bit vectors: bit i of vp (vn)
+    is set where D[i+1][j] - D[i][j] is +1 (-1). Each hypothesis token
+    advances the column in O(1) big-int operations, and d tracks D[m][j].
+    Row 0 is D[0][j] = j, so a +1 is shifted in at the bottom of each step.
+    Bits above m-1 never reach lower ones (carries and shifts only move
+    up), so masking vp alone is enough to keep every vector near m bits.
+    """
+    if not m:
+        return len(hyp)
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    vp, vn, d = full, 0, m
+    get = masks.get
+    for token in hyp:
+        eq = get(token, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & last:
+            d += 1
+        elif hn & last:
+            d -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+    return d
+
+
+def distance(ref: NormalizedTokens | Sequence[str], hyp: NormalizedTokens | Sequence[str]) -> int:
+    """Unit-cost token edit distance; equals edit_distance(ref, hyp).total."""
+    a = _tokens(ref)
+    return _bit_distance(_match_masks(a), len(a), _tokens(hyp))
+
+
 def wer(ref: NormalizedTokens | Sequence[str], hyp: NormalizedTokens | Sequence[str]) -> float:
     """(S + D + I) / |ref|. Raises EmptyReference when ref has no tokens."""
     ref_tokens = _tokens(ref)
     if not ref_tokens:
         raise EmptyReference("reference has no tokens after normalization")
-    return edit_distance(ref_tokens, _tokens(hyp)).total / len(ref_tokens)
+    return distance(ref_tokens, hyp) / len(ref_tokens)
 
 
 @dataclass(frozen=True)
@@ -176,7 +229,9 @@ def wer_report(corpus: Corpus) -> WerReport:
     """Micro-averaged WER per ASR model and emotion class.
 
     Records missing ground truth or an emotion label are skipped and counted,
-    as are records whose reference normalizes to zero tokens.
+    as are records whose reference normalizes to zero tokens. Each reference
+    builds its match masks once for all of the record's hypotheses, and
+    models that output the same text share one distance.
     """
     edits: dict[tuple[str, str], int] = {}
     ref_lens: dict[tuple[str, str], int] = {}
@@ -202,15 +257,19 @@ def wer_report(corpus: Corpus) -> WerReport:
 
         class_counts[cls] = class_counts.get(cls, 0) + 1
         class_counts["overall"] = class_counts.get("overall", 0) + 1
+        masks, ref_len = _match_masks(ref.tokens), len(ref.tokens)
+        by_text: dict[str, int] = {}
         for model, hyp_text in rec.transcriptions.items():
             if model not in seen_models:
                 seen_models.add(model)
                 models.append(model)
-            ops = edit_distance(ref.tokens, normalize(hyp_text).tokens)
+            dist = by_text.get(hyp_text)
+            if dist is None:
+                dist = by_text[hyp_text] = _bit_distance(masks, ref_len, normalize(hyp_text).tokens)
             for bucket in (cls, "overall"):
                 key = (model, bucket)
-                edits[key] = edits.get(key, 0) + ops.total
-                ref_lens[key] = ref_lens.get(key, 0) + len(ref.tokens)
+                edits[key] = edits.get(key, 0) + dist
+                ref_lens[key] = ref_lens.get(key, 0) + ref_len
                 counts[key] = counts.get(key, 0) + 1
 
     cells = {

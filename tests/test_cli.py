@@ -34,6 +34,22 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_non_contiguous_script_warns(self, tmp_path, capsys, caplog):
+        path = tmp_path / "split.json"
+        path.write_text(
+            json.dumps(
+                [
+                    make_entry("Ses01F_script01_1_F000"),
+                    make_entry("Ses01F_impro02_M000"),
+                    make_entry("Ses01F_script01_1_F001"),
+                ]
+            )
+        )
+        with caplog.at_level("WARNING"):
+            assert main(["validate", str(path)]) == 0
+        assert "ok: 3 record(s)" in capsys.readouterr().out
+        assert any("non-contiguous" in message for message in caplog.messages)
+
     def test_strict_rejects_unknown_model(self, tmp_path):
         entry = make_entry("Ses01F_01_F000")
         entry["brandnewasr"] = "hi there"
@@ -118,6 +134,24 @@ class TestRun:
         warm_log = [json.loads(l) for l in (out_b / "demo.log.jsonl").read_text().splitlines()]
         assert warm_log[-1]["cache_hit_rate"] == 1.0
 
+    def test_corrupt_cache_entry_is_recomputed(self, tmp_path, fixture_corpus):
+        cache = tmp_path / "cache"
+        argv = [
+            "run",
+            str(fixture_corpus),
+            "--name", "demo",
+            "--text-source", "whispertiny",
+            "--backend", "mock",
+            "--cache-dir", str(cache),
+        ]
+        assert main(argv + ["--out-dir", str(tmp_path / "cold")]) == 0
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.write_text('{"raw_text": ', encoding="utf-8")
+        assert main(argv + ["--out-dir", str(tmp_path / "rerun")]) == 0
+        cold = (tmp_path / "cold" / "demo.predictions.json").read_bytes()
+        assert (tmp_path / "rerun" / "demo.predictions.json").read_bytes() == cold
+        assert json.loads(entry.read_text(encoding="utf-8"))["raw_text"]
+
 
 class TestMatrix:
     def test_small_config(self, tmp_path, fixture_corpus, capsys):
@@ -142,6 +176,19 @@ class TestMatrix:
         config = tmp_path / "empty.json"
         config.write_text(json.dumps({"experiments": []}))
         assert main(["matrix", str(fixture_corpus), "--config", str(config)]) == 0
+
+    def test_failed_row_exits_1_and_writes_summary(self, tmp_path, fixture_corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"experiments": [{"name": "bad", "text_source": "whispertiny", "prompt": "no-such-template"}]})
+        )
+        out_dir = tmp_path / "not" / "yet"
+        code = main(["matrix", str(fixture_corpus), "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 1
+        rows = json.loads((out_dir / "matrix.json").read_text())
+        assert [r["name"] for r in rows] == ["bad"]
+        assert "error" in rows[0]
+        assert "bad" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -170,6 +217,33 @@ class TestEvaluate:
         from_run = json.loads((out_dir / "demo.eval.json").read_text())
         assert standalone == from_run
 
+    @pytest.mark.parametrize(
+        "predictions, message",
+        [
+            ([{"prediction": "sad"}], "entry 0: 'id'"),
+            ([{"id": "Ses01F_01_F000", "prediction": "sad"}, "sad"], "entry 1: expected a JSON object"),
+            ([{"id": "Ses01F_01_F000"}], "entry 0: 'prediction'"),
+            ({"id": "Ses01F_01_F000", "prediction": "sad"}, "JSON array"),
+            (
+                [
+                    {"id": "Ses01F_01_F000", "prediction": "sad"},
+                    {"id": "Ses01F_01_F001", "prediction": "sad"},
+                    {"id": "Ses01F_01_F000", "prediction": "happy"},
+                ],
+                "duplicate prediction id(s): ['Ses01F_01_F000']",
+            ),
+        ],
+    )
+    def test_malformed_predictions_rejected(self, tmp_path, capsys, predictions, message):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(
+            json.dumps([make_entry("Ses01F_01_F000", emotion="sad"), make_entry("Ses01F_01_F001", emotion="sad")])
+        )
+        path = tmp_path / "pred.json"
+        path.write_text(json.dumps(predictions))
+        assert main(["evaluate", "--predictions", str(path), "--corpus", str(corpus)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_no_scoreable_pairs(self, tmp_path):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps([make_entry("Ses01F_01_F000", emotion="frustration")]))
@@ -185,6 +259,12 @@ class TestGenFixture:
         assert main(["gen-fixture", "--out", str(a), "--records", "30", "--seed", "9"]) == 0
         assert main(["gen-fixture", "--out", str(b), "--records", "30", "--seed", "9"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_too_many_records_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        assert main(["gen-fixture", "--out", str(out), "--records", "10000", "--seed", "1"]) == 1
+        assert "error: cannot generate 10000 records" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validates_clean(self, tmp_path):
         path = tmp_path / "gen.json"

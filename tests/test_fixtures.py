@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import time
 from collections import Counter
+
+import pytest
 
 from textemo.corpus import build_corpus, parse_id
 from textemo.fixtures import generate_corpus
@@ -58,3 +61,11 @@ class TestGenerateCorpus:
             if uid.dialogue_kind == "script":
                 subsets_by_key.setdefault(uid.script_key, set()).add(uid.subset)
         assert any(len(subsets) > 1 for subsets in subsets_by_key.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_raises_once_dialogue_ids_run_out(self, seed):
+        # 405 dialogue keys x at most 3 subsets x 8 utterances < 10_000
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="dialogue"):
+            generate_corpus(seed=seed, n_records=10_000)
+        assert time.monotonic() - start < 10.0

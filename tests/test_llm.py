@@ -155,6 +155,18 @@ class TestCache:
         answer = complete(request, MockBackend(responses={request.fingerprint: "angry"}), cache=cache)
         assert answer.raw_text == "happy"
 
+    @pytest.mark.parametrize("blob", ['{"raw_text": ', '{"normalized_label": "sad"}', "[1, 2]", "\udcff"])
+    def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, caplog, blob):
+        cache = CompletionCache(tmp_path)
+        request = fixture_request()
+        (tmp_path / f"{request.fingerprint}.json").write_text(blob, encoding="utf-8", errors="surrogateescape")
+        with caplog.at_level("WARNING"):
+            assert cache.load(request.fingerprint) is None
+        assert any("corrupt cache entry" in message for message in caplog.messages)
+        first = complete(request, MockBackend(responses={request.fingerprint: "sad"}), cache=cache)
+        assert first.from_cache is False
+        assert cache.load(request.fingerprint).raw_text == "sad"
+
     def test_index_appended_and_rebuildable(self, tmp_path):
         cache = CompletionCache(tmp_path)
         completion = Completion(raw_text="x", normalized_label=None, from_cache=False, latency_ms=0, attempt_count=1)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textemo.corpus import build_corpus
+from textemo.fixtures import generate_corpus
 from textemo.wer import (
     EmptyReference,
+    distance,
     edit_distance,
     emotion_class,
     normalize,
@@ -104,6 +106,53 @@ class TestEditDistance:
         for a in seqs:
             for b in seqs:
                 assert edit_distance(a, b).total == brute_force_distance(a, b)
+
+
+class TestDistance:
+    """The bit-parallel kernel against the DP kernel, which c01 gates."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcd"), max_size=12),
+        st.lists(st.sampled_from("abcd"), max_size=12),
+    )
+    def test_matches_edit_distance_short(self, a, b):
+        assert distance(a, b) == edit_distance(a, b).total
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["yeah", "i", "me", "no", "it's"]), min_size=60, max_size=260),
+        st.lists(st.sampled_from(["yeah", "i", "me", "no", "so"]), max_size=260),
+    )
+    def test_matches_edit_distance_long(self, a, b):
+        assert distance(a, b) == edit_distance(a, b).total
+
+    @pytest.mark.parametrize("ref_len", [0, 1, 63, 64, 65, 200, 257])
+    @pytest.mark.parametrize("hyp_len", [0, 1, 64, 230])
+    def test_lengths_across_word_boundaries(self, ref_len, hyp_len):
+        rng = random.Random(ref_len * 1000 + hyp_len)
+        ref = rng.choices(["a", "b", "c", "d", "e", "f"], k=ref_len)
+        hyp = [tok if rng.random() < 0.7 else rng.choice("abcxyz") for tok in ref][:hyp_len]
+        hyp += rng.choices("abxy", k=max(0, hyp_len - len(hyp)))
+        assert distance(ref, hyp) == edit_distance(ref, hyp).total
+
+    def test_empty_sides(self):
+        assert distance([], []) == 0
+        assert distance([], ["a", "b"]) == 2
+        assert distance(["a", "b", "c"], []) == 3
+
+    def test_repeated_tokens(self):
+        cases = [
+            (["yeah"] * 300, ["yeah"]),
+            (["yeah"], ["yeah"] * 300),
+            (["a", "b"] * 120, ["b", "a"] * 130),
+            (["no"] * 70 + ["yes"] * 70, ["yes"] * 70 + ["no"] * 70),
+        ]
+        for a, b in cases:
+            assert distance(a, b) == edit_distance(a, b).total
+
+    def test_accepts_normalized_tokens(self):
+        assert distance(normalize(GROUND_TRUTH), normalize("Yeah")) == 10
 
 
 class TestWer:
@@ -220,3 +269,25 @@ class TestWerReport:
         assert lines[0] == "model,neutral,sad,happy,angry,other,overall"
         assert len(lines) == 1 + 11 + 1
         assert lines[-1].startswith("utterances,")
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_matches_dp_recomputation_on_generated_corpus(self, seed):
+        corpus = build_corpus(generate_corpus(seed=seed, n_records=400))
+        report = wer_report(corpus)
+        totals: dict[tuple[str, str], list[int]] = {}
+        for rec in corpus.records:
+            cls = emotion_class(rec.emotion)
+            ref = normalize(rec.ground_truth).tokens
+            if cls is None or not ref:
+                continue
+            for model, text in rec.transcriptions.items():
+                edits = edit_distance(ref, normalize(text).tokens).total
+                for bucket in (cls, "overall"):
+                    cell = totals.setdefault((model, bucket), [0, 0, 0])
+                    cell[0] += edits
+                    cell[1] += len(ref)
+                    cell[2] += 1
+        assert set(report.cells) == set(totals)
+        for key, (edits, ref_len, count) in totals.items():
+            assert report.cells[key].wer == edits / ref_len
+            assert report.cells[key].utterances == count
