@@ -16,18 +16,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+# Commands import the other stage modules in their own bodies, so a process
+# loads only what its subcommand runs: a matrix pass starts one `evaluate`
+# process per row, and start-up is most of each one's time.
 from . import corpus as corpus_mod
-from . import fixtures, metrics
-from . import refine as refine_mod
-from . import wer as wer_mod
-from .experiments import (
-    ExperimentSpec,
-    format_matrix_table,
-    load_experiment_config,
-    run_experiment,
-    run_matrix,
-    write_run_artifacts,
-)
+from . import metrics
 from .llm import AuthError, BackendError, CompletionCache, HttpBackend, MockBackend
 
 logger = logging.getLogger(__name__)
@@ -88,6 +81,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_wer(args: argparse.Namespace) -> int:
+    from . import wer as wer_mod
+
     try:
         corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
     except OSError as exc:
@@ -107,6 +102,8 @@ def cmd_wer(args: argparse.Namespace) -> int:
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
+    from . import refine as refine_mod
+
     try:
         objects = corpus_mod.read_objects(args.infile)
         corpus = corpus_mod.build_corpus(objects, strict=args.strict)
@@ -118,7 +115,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         return EXIT_FAILED
 
     cfg = refine_mod.RefinementConfig(
-        min_length=args.min_length,
+        min_length=refine_mod.DEFAULT_MIN_LENGTH if args.min_length is None else args.min_length,
         length_unit="characters" if args.unit == "chars" else "tokens",
         selector="llm" if args.selector == "llm" else "longest_only",
         model_priority=args.model_priority.split(",") if args.model_priority else [],
@@ -164,6 +161,8 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .experiments import ExperimentSpec, run_experiment, write_run_artifacts
+
     try:
         corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
     except OSError as exc:
@@ -215,6 +214,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
+    from .experiments import format_matrix_table, load_experiment_config, run_matrix
+
     try:
         specs = load_experiment_config(args.config)
         corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
@@ -246,6 +247,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if failed:
         print(f"{len(failed)} experiment(s) failed: {failed}", file=sys.stderr)
         return EXIT_FAILED
+    incomplete = [row["name"] for row in rows if row.get("n_failures")]
+    if incomplete:
+        print(f"{len(incomplete)} experiment(s) had failed requests: {incomplete}", file=sys.stderr)
+        return EXIT_BACKEND
     return EXIT_OK
 
 
@@ -309,6 +314,8 @@ def _prediction_entries_problem(predictions: object) -> str | None:
 
 
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
+    from . import fixtures
+
     try:
         objects = fixtures.generate_corpus(
             seed=args.seed,
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--selector", choices=["llm", "longest"], default="llm")
-    p.add_argument("--min-length", type=int, default=refine_mod.DEFAULT_MIN_LENGTH)
+    p.add_argument("--min-length", type=int, default=None)  # None: refine.DEFAULT_MIN_LENGTH
     p.add_argument("--unit", choices=["chars", "tokens"], default="chars")
     p.add_argument("--model-priority", default=None, help="comma-separated tie-break order")
     p.add_argument("--strict", action="store_true")

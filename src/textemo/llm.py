@@ -25,9 +25,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +59,10 @@ class RateLimited(BackendError):
 
 class TransportError(BackendError):
     """Network or server failure for a single attempt; retried with backoff."""
+
+
+class BadRequest(TransportError):
+    """A 4xx response that repeating the same request cannot fix; never retried."""
 
 
 class BackendExhausted(BackendError):
@@ -148,7 +153,11 @@ class MockBackend:
 
 
 class HttpBackend:
-    """Chat-completions client over HTTP."""
+    """Chat-completions client over HTTP.
+
+    ``requests`` is imported by the methods that use it, not with this
+    module, so commands that never build an HTTP backend do not load it.
+    """
 
     def __init__(
         self,
@@ -164,12 +173,16 @@ class HttpBackend:
                     break
         if not api_key:
             raise AuthError(f"no API key found in {' or '.join(API_KEY_ENV_VARS)}")
+        import requests
+
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def send(self, request: CompletionRequest) -> str:
+        import requests
+
         body = {
             "model": request.model,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -190,6 +203,8 @@ class HttpBackend:
             raise AuthError(f"authentication rejected (HTTP {resp.status_code})", fp)
         if resp.status_code == 429:
             raise RateLimited("rate limited (HTTP 429)", fp)
+        if 400 <= resp.status_code < 500 and resp.status_code != 408:
+            raise BadRequest(f"request rejected (HTTP {resp.status_code}): {resp.text[:200]}", fp)
         if resp.status_code != 200:
             raise TransportError(f"unexpected HTTP {resp.status_code}: {resp.text[:200]}", fp)
         try:
@@ -272,9 +287,10 @@ def complete(
 ) -> Completion:
     """Resolve a request through the cache, then the backend with retries.
 
-    AuthError propagates immediately; RateLimited and TransportError are
-    retried with exponential backoff and raise BackendExhausted once the
-    attempt budget is spent. Successful completions are cached before return.
+    AuthError and BadRequest propagate after one attempt; RateLimited and
+    other TransportErrors are retried with exponential backoff and raise
+    BackendExhausted once the attempt budget is spent. Successful
+    completions are cached before return.
     """
     fp = request.fingerprint
     if cache is not None:
@@ -288,6 +304,8 @@ def complete(
     for attempt in range(1, retry.attempts + 1):
         try:
             raw = backend.send(request)
+        except BadRequest:
+            raise
         except (RateLimited, TransportError) as exc:
             last_error = exc
             logger.warning("attempt %d/%d failed: %s", attempt, retry.attempts, exc)

@@ -190,6 +190,28 @@ class TestMatrix:
         assert "error" in rows[0]
         assert "bad" in capsys.readouterr().err
 
+    def test_backend_failures_exit_3_unless_a_row_errored(self, tmp_path, fixture_corpus, monkeypatch, capsys):
+        from textemo.llm import BadRequest, MockBackend
+
+        def reject(self, request):
+            raise BadRequest("request rejected (HTTP 400)", request.fingerprint)
+
+        monkeypatch.setattr(MockBackend, "send", reject)
+        good = {"name": "good", "text_source": "whispertiny"}
+        bad = {"name": "bad", "text_source": "whispertiny", "prompt": "no-such-template"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [good]}))
+        out_dir = tmp_path / "matrix"
+        code = main(["matrix", str(fixture_corpus), "--config", str(config), "--out-dir", str(out_dir)])
+        assert code == 3
+        rows = json.loads((out_dir / "matrix.json").read_text())
+        assert rows[0]["n_failures"] > 0 and "error" not in rows[0]
+        assert (out_dir / "good.retry.json").exists()
+        assert "good" in capsys.readouterr().err
+
+        config.write_text(json.dumps({"experiments": [good, bad]}))
+        assert main(["matrix", str(fixture_corpus), "--config", str(config)]) == 1
+
 
 class TestEvaluate:
     def test_round_trip_with_run(self, tmp_path, fixture_corpus, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from textemo.llm import (
     AuthError,
     BackendExhausted,
+    BadRequest,
     Completion,
     CompletionCache,
     CompletionRequest,
@@ -266,7 +267,16 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize(
         "status,exc",
-        [(401, AuthError), (403, AuthError), (429, RateLimited), (500, TransportError), (400, TransportError)],
+        [
+            (401, AuthError),
+            (403, AuthError),
+            (429, RateLimited),
+            (500, TransportError),
+            (400, TransportError),
+            (400, BadRequest),
+            (404, BadRequest),
+            (422, BadRequest),
+        ],
     )
     def test_status_mapping(self, status, exc):
         from textemo.llm import HttpBackend
@@ -285,3 +295,23 @@ class TestHttpBackend:
         backend = HttpBackend(api_key="k", session=FakeSession())
         with pytest.raises(exc):
             backend.send(fixture_request())
+
+    @pytest.mark.parametrize("status,posts", [(400, 1), (404, 1), (422, 1), (408, 5), (500, 5), (503, 5)])
+    def test_client_errors_posted_once(self, status, posts):
+        from textemo.llm import HttpBackend
+
+        class FakeResponse:
+            status_code = status
+            text = "nope"
+
+        class CountingSession:
+            calls = 0
+
+            def post(self, *a, **k):
+                CountingSession.calls += 1
+                return FakeResponse()
+
+        backend = HttpBackend(api_key="k", session=CountingSession())
+        with pytest.raises(BadRequest if posts == 1 else BackendExhausted):
+            complete(fixture_request(), backend, retry=no_sleep_policy(attempts=5))
+        assert CountingSession.calls == posts
