@@ -21,7 +21,7 @@ from pathlib import Path
 # process per row, and start-up is most of each one's time.
 from . import corpus as corpus_mod
 from . import metrics
-from .llm import AuthError, BackendError, CompletionCache, HttpBackend, MockBackend
+from .llm import AuthError, Backend, BackendError, CompletionCache, HttpBackend, MockBackend, fan_out
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +31,7 @@ EXIT_IO = 2
 EXIT_BACKEND = 3
 
 
-def _make_backend(args: argparse.Namespace) -> MockBackend | HttpBackend:
+def _make_backend(args: argparse.Namespace) -> Backend:
     if args.backend == "mock":
         return MockBackend(seed=args.mock_seed)
     kwargs = {}
@@ -107,47 +107,36 @@ def cmd_refine(args: argparse.Namespace) -> int:
     try:
         objects = corpus_mod.read_objects(args.infile)
         corpus = corpus_mod.build_corpus(objects, strict=args.strict)
+        cfg = refine_mod.RefinementConfig(
+            min_length=refine_mod.DEFAULT_MIN_LENGTH if args.min_length is None else args.min_length,
+            length_unit="characters" if args.unit == "chars" else "tokens",
+            selector="llm" if args.selector == "llm" else "longest_only",
+            model_priority=args.model_priority.split(",") if args.model_priority else [],
+        )
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except corpus_mod.SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-
-    cfg = refine_mod.RefinementConfig(
-        min_length=refine_mod.DEFAULT_MIN_LENGTH if args.min_length is None else args.min_length,
-        length_unit="characters" if args.unit == "chars" else "tokens",
-        selector="llm" if args.selector == "llm" else "longest_only",
-        model_priority=args.model_priority.split(",") if args.model_priority else [],
-    )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     backend = _make_backend(args) if cfg.selector == "llm" else None
     cache = _make_cache(args)
 
-    def refine_one(record):
-        try:
-            return refine_mod.refine_record(record, cfg, backend=backend, cache=cache, llm_model=args.model), None
-        except AuthError:
-            raise
-        except BackendError as exc:
-            logger.error("record %s left unrefined: %s", record.id.raw, exc)
-            return None, record.id.raw
-
-    concurrency = getattr(args, "concurrency", 1)
-    if cfg.selector == "llm" and concurrency > 1 and len(corpus.records) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(refine_one, corpus.records))
-    else:
-        results = [refine_one(record) for record in corpus.records]
-
-    # single-threaded write-back merge, in file order
+    outcomes = fan_out(
+        lambda record: refine_mod.refine_record(record, cfg, backend=backend, cache=cache, llm_model=args.model),
+        corpus.records,
+        args.concurrency if cfg.selector == "llm" else 1,
+    )
     unrefined: list[str] = []
-    for obj, (outcome, failed_id) in zip(objects, results):
-        if outcome is not None:
-            obj["ensemble"] = outcome.chosen
+    for obj, record, outcome in zip(objects, corpus.records, outcomes):
+        if isinstance(outcome, BackendError):
+            logger.error("record %s left unrefined: %s", record.id.raw, outcome)
+            unrefined.append(record.id.raw)
         else:
-            unrefined.append(failed_id)
+            obj["ensemble"] = outcome.chosen
 
     Path(args.outfile).write_text(
         json.dumps(objects, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
@@ -172,16 +161,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
-    spec = ExperimentSpec(
-        name=args.name,
-        text_source=args.text_source,
-        prompt=args.prompt,
-        context_length=args.context_length,
-        context_mode=args.context_mode,
-        backend=args.backend,
-        model=args.model,
-    )
     try:
+        spec = ExperimentSpec(
+            name=args.name,
+            text_source=args.text_source,
+            prompt=args.prompt,
+            context_length=args.context_length,
+            context_mode=args.context_mode,
+            backend=args.backend,
+            model=args.model,
+        )
         result = run_experiment(
             spec,
             corpus,
@@ -191,9 +180,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
             ua_definition=args.ua_definition,
         )
-    except AuthError as exc:
-        print(f"auth error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED

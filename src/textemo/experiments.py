@@ -6,22 +6,22 @@ normalizes the response to a label (falling back to "neutral" when the
 response carries no label, counted in fallback_count). Artifacts per run: a
 predictions JSON, an eval JSON when truth labels exist, and a line-delimited
 JSON run log with one fingerprinted event per prediction. Failed requests go
-to a retry manifest instead of aborting the run.
+to a retry manifest; an AuthError aborts the run.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
 from .context import build_context, format_context, resolve_text
-from .corpus import Corpus
+from .corpus import Corpus, UtteranceRecord
 from .llm import (
+    Backend,
     BackendError,
     CompletionCache,
     CompletionRequest,
@@ -29,6 +29,7 @@ from .llm import (
     MockBackend,
     RetryPolicy,
     complete,
+    fan_out,
 )
 from .metrics import EmptyInput, EvalReport, evaluate
 from .prompts import PromptTemplate, load_templates, render
@@ -119,16 +120,15 @@ class RunResult:
 
 def _predict_one(
     corpus: Corpus,
-    position: int,
+    record: UtteranceRecord,
     spec: ExperimentSpec,
     template: PromptTemplate,
-    backend: MockBackend | HttpBackend,
+    backend: Backend,
     cache: CompletionCache | None,
     retry: RetryPolicy | None,
 ) -> PredictionEvent:
-    record = corpus.records[position]
     window = build_context(
-        corpus, position, mode=spec.context_mode, length=spec.context_length, text_source=spec.text_source
+        corpus, record.file_position, mode=spec.context_mode, length=spec.context_length, text_source=spec.text_source
     )
     sentence = resolve_text(record, spec.text_source)
     prompt_text = render(template, format_context(window), record.speaker, sentence)
@@ -148,7 +148,7 @@ def _predict_one(
 def run_experiment(
     spec: ExperimentSpec,
     corpus: Corpus,
-    backend: MockBackend | HttpBackend,
+    backend: Backend,
     cache: CompletionCache | None = None,
     retry: RetryPolicy | None = None,
     template_file: str | Path | None = None,
@@ -160,38 +160,26 @@ def run_experiment(
     validate_spec(spec, corpus, templates)
     template = templates[spec.prompt]
 
-    targets = [rec.file_position for rec in corpus.records if rec.need_prediction]
-    events: dict[int, PredictionEvent] = {}
+    targets = [rec for rec in corpus.records if rec.need_prediction]
+    outcomes = fan_out(
+        lambda record: _predict_one(corpus, record, spec, template, backend, cache, retry), targets, concurrency
+    )
+    predictions: list[PredictionEvent] = []
+    truth_pairs: list[tuple[str | None, str]] = []
     failures: list[dict] = []
+    for record, outcome in zip(targets, outcomes):
+        if isinstance(outcome, BackendError):
+            logger.error("record %s failed: %s", record.id.raw, outcome)
+            failures.append({"id": record.id.raw, "fingerprint": outcome.fingerprint, "error": str(outcome)})
+        else:
+            predictions.append(outcome)
+            truth_pairs.append((record.emotion, outcome.prediction))
 
-    def work(position: int) -> tuple[int, PredictionEvent | None, dict | None]:
-        record = corpus.records[position]
-        try:
-            return position, _predict_one(corpus, position, spec, template, backend, cache, retry), None
-        except BackendError as exc:
-            logger.error("record %s failed: %s", record.id.raw, exc)
-            return position, None, {"id": record.id.raw, "fingerprint": exc.fingerprint, "error": str(exc)}
-
-    if concurrency > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(work, targets))
-    else:
-        results = [work(p) for p in targets]
-
-    for position, event, failure in results:
-        if event is not None:
-            events[position] = event
-        elif failure is not None:
-            failures.append(failure)
-
-    ordered_positions = sorted(events)
-    ordered = [events[p] for p in ordered_positions]
-    fallback_count = sum(e.fallback for e in ordered)
-    cache_hits = sum(e.from_cache for e in ordered)
-    cache_misses = len(ordered) - cache_hits
+    fallback_count = sum(e.fallback for e in predictions)
+    cache_hits = sum(e.from_cache for e in predictions)
+    cache_misses = len(predictions) - cache_hits
 
     eval_report: EvalReport | None = None
-    truth_pairs = [(corpus.records[p].emotion, events[p].prediction) for p in ordered_positions]
     if any(truth is not None for truth, _ in truth_pairs):
         try:
             eval_report = evaluate(truth_pairs, ua_definition=ua_definition)
@@ -200,7 +188,7 @@ def run_experiment(
 
     return RunResult(
         spec=spec,
-        predictions=ordered,
+        predictions=predictions,
         failures=failures,
         eval_report=eval_report,
         fallback_count=fallback_count,
@@ -289,8 +277,9 @@ def run_matrix(
 ) -> list[dict]:
     """Run every spec sequentially against a shared cache.
 
-    A failing row is reported with its error and does not abort the rest.
-    Returns one comparison row per spec: per-class F1 and UA.
+    A row that raises ValueError or BackendError is reported with its error
+    and does not abort the rest; anything else, an OSError included,
+    propagates. Returns one comparison row per spec: per-class F1 and UA.
     """
     rows: list[dict] = []
     for spec in specs:
@@ -316,7 +305,7 @@ def run_matrix(
             if result.failures:
                 row["n_failures"] = len(result.failures)
             rows.append(row)
-        except Exception as exc:  # a bad row must not sink the matrix
+        except (ValueError, BackendError) as exc:  # a bad row must not sink the matrix
             logger.error("experiment %s failed: %s", spec.name, exc)
             rows.append({"name": spec.name, "error": str(exc)})
     return rows

@@ -1,10 +1,10 @@
 """Annotator backends: HTTP chat-completion client, deterministic mock,
-response-label normalization, content-addressed caching, and retry policy.
+response-label normalization, content-addressed caching, retry policy, and
+the request fan-out shared by every batch pass.
 
 Requests are fingerprinted by a SHA-256 over (model, prompt, temperature,
-max_tokens); the cache is a directory of JSON files named by fingerprint plus
-an append-only index, so interrupted batch runs resume without repeating
-calls.
+max_tokens); the cache is a directory of JSON files named by fingerprint, so
+interrupted batch runs resume without repeating calls.
 
 Wire format (HTTP backend): a chat-completions POST body
 ``{"model": ..., "messages": [{"role": "user", "content": prompt}],
@@ -25,7 +25,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import requests
@@ -39,6 +39,9 @@ API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
 
 _LABEL_RE = re.compile(r"\b(happy|sad|neutral|angry)\b")
 _PUNCT_RE = re.compile(r"[^a-z0-9']+")
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class BackendError(Exception):
@@ -103,6 +106,12 @@ class Completion:
     from_cache: bool
     latency_ms: int
     attempt_count: int
+
+
+class Backend(Protocol):
+    """An annotator: one raw response text per request, or a BackendError."""
+
+    def send(self, request: CompletionRequest) -> str: ...
 
 
 def normalize_label(raw: str) -> str | None:
@@ -217,8 +226,7 @@ class CompletionCache:
     """Directory of JSON files named by request fingerprint.
 
     Writes are atomic (temp file + rename), so concurrent writers of the same
-    fingerprint are idempotent. An append-only index.jsonl mirrors the
-    directory and can be rebuilt from it.
+    fingerprint are idempotent.
     """
 
     def __init__(self, directory: str | Path):
@@ -235,11 +243,11 @@ class CompletionCache:
         treated as a miss, so the next store overwrites it.
         """
         path = self._path(fingerprint)
-        if not path.exists():
-            return None
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
             raw_text = data["raw_text"]
+        except FileNotFoundError:
+            return None
         except (ValueError, KeyError, TypeError) as exc:
             logger.warning("corrupt cache entry %s treated as a miss: %r", path, exc)
             return None
@@ -268,20 +276,11 @@ class CompletionCache:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        with open(self.directory / "index.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"fingerprint": fingerprint}) + "\n")
-
-    def rebuild_index(self) -> int:
-        fingerprints = sorted(p.stem for p in self.directory.glob("*.json") if p.name != "index.jsonl")
-        with open(self.directory / "index.jsonl", "w", encoding="utf-8") as fh:
-            for fp in fingerprints:
-                fh.write(json.dumps({"fingerprint": fp}) + "\n")
-        return len(fingerprints)
 
 
 def complete(
     request: CompletionRequest,
-    backend: MockBackend | HttpBackend,
+    backend: Backend,
     cache: CompletionCache | None = None,
     retry: RetryPolicy | None = None,
 ) -> Completion:
@@ -323,3 +322,28 @@ def complete(
             cache.store(fp, completion)
         return completion
     raise BackendExhausted(f"gave up after {retry.attempts} attempts: {last_error}", fp)
+
+
+def fan_out(fn: Callable[[T], R], items: Sequence[T], concurrency: int) -> list[R | BackendError]:
+    """fn over items on up to ``concurrency`` threads (serially at <= 1), in input order.
+
+    A BackendError takes its item's place in the result. AuthError, which
+    every other request would repeat, and any other exception propagate;
+    Executor.map then cancels the items not yet started.
+    """
+
+    def one(item: T) -> R | BackendError:
+        try:
+            return fn(item)
+        except AuthError:
+            raise
+        except BackendError as exc:
+            return exc
+
+    if concurrency <= 1 or len(items) <= 1:
+        return [one(item) for item in items]
+    # Imported here: commands that never fan out (evaluate, validate) skip it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        return list(pool.map(one, items))

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .corpus import UtteranceRecord
-from .llm import CompletionCache, CompletionRequest, HttpBackend, MockBackend, RetryPolicy, complete
+from .llm import Backend, CompletionCache, CompletionRequest, RetryPolicy, complete
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +104,7 @@ def build_refine_prompt(candidates: list[tuple[str, str]]) -> str:
 def refine_record(
     record: UtteranceRecord,
     cfg: RefinementConfig,
-    backend: MockBackend | HttpBackend | None = None,
+    backend: Backend | None = None,
     cache: CompletionCache | None = None,
     retry: RetryPolicy | None = None,
     llm_model: str = "gpt-3.5-turbo",

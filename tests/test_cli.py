@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,31 @@ def fixture_corpus(tmp_path) -> Path:
     path = tmp_path / "corpus.json"
     write_corpus(generate_corpus(seed=21, n_records=25), path)
     return path
+
+
+@pytest.fixture
+def rejecting_session(monkeypatch):
+    """Every HttpBackend posts through a session that answers HTTP 401; the
+    class counts the posts."""
+    import requests
+
+    class Response:
+        status_code = 401
+        text = "unauthorized"
+
+    class RejectingSession:
+        posts = 0
+        lock = threading.Lock()
+
+        def post(self, *args, **kwargs):
+            with RejectingSession.lock:
+                RejectingSession.posts += 1
+            time.sleep(0.002)  # network latency, so the other workers get to run
+            return Response()
+
+    monkeypatch.setenv("TEXTEMO_API_KEY", "test-key")
+    monkeypatch.setattr(requests, "Session", RejectingSession)
+    return RejectingSession
 
 
 class TestValidate:
@@ -94,6 +121,45 @@ class TestRefine:
             ]
             assert obj["ensemble"] in candidates
 
+    def test_concurrency_does_not_change_output(self, tmp_path, fixture_corpus):
+        outputs = []
+        for concurrency in ("1", "4"):
+            out = tmp_path / f"refined-{concurrency}.json"
+            argv = ["refine", "--in", str(fixture_corpus), "--out", str(out), "--concurrency", concurrency]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_zero_min_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
+        argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--min-length", "0"]
+        assert main(argv) == 1
+        assert "error: min_length must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestAuthFailure:
+    @pytest.mark.parametrize("command", ["run", "refine"])
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_401_stops_the_command(self, tmp_path, rejecting_session, capsys, command, concurrency):
+        objects = generate_corpus(seed=21, n_records=200)
+        corpus = tmp_path / "corpus.json"
+        write_corpus(objects, corpus)
+        out_dir = tmp_path / "out"
+        if command == "run":
+            argv = ["run", str(corpus), "--name", "demo", "--text-source", "whispertiny", "--out-dir", str(out_dir)]
+            targets = sum(obj["need_prediction"] == "yes" for obj in objects)
+        else:
+            argv = ["refine", "--in", str(corpus), "--out", str(out_dir / "refined.json")]
+            targets = len(objects)
+        argv += ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat", "--concurrency", str(concurrency)]
+        assert main(argv) == 3
+        assert "auth error:" in capsys.readouterr().err
+        if concurrency == 1:
+            assert rejecting_session.posts == 1
+        else:
+            assert 1 <= rejecting_session.posts < targets
+        assert not out_dir.exists()  # no predictions, no retry manifest, no refined corpus
+
 
 class TestRun:
     def test_mock_run_writes_artifacts(self, tmp_path, fixture_corpus, capsys):
@@ -133,6 +199,11 @@ class TestRun:
         assert (out_a / "demo.predictions.json").read_bytes() == (out_b / "demo.predictions.json").read_bytes()
         warm_log = [json.loads(l) for l in (out_b / "demo.log.jsonl").read_text().splitlines()]
         assert warm_log[-1]["cache_hit_rate"] == 1.0
+
+    def test_zero_context_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
+        argv = ["run", str(fixture_corpus), "--text-source", "whispertiny", "--context-length", "0"]
+        assert main(argv + ["--out-dir", str(tmp_path / "runs")]) == 1
+        assert "error: experiment 'run': context_length must be >= 1" in capsys.readouterr().err
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path, fixture_corpus):
         cache = tmp_path / "cache"
@@ -189,6 +260,15 @@ class TestMatrix:
         assert [r["name"] for r in rows] == ["bad"]
         assert "error" in rows[0]
         assert "bad" in capsys.readouterr().err
+
+    def test_artifact_write_error_exits_2(self, tmp_path, fixture_corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [{"name": "one", "text_source": "whispertiny"}]}))
+        out_dir = tmp_path / "matrix"
+        (out_dir / "one.predictions.json").mkdir(parents=True)  # the artifact write fails
+        assert main(["matrix", str(fixture_corpus), "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "I/O error:" in capsys.readouterr().err
+        assert not (out_dir / "matrix.json").exists()
 
     def test_backend_failures_exit_3_unless_a_row_errored(self, tmp_path, fixture_corpus, monkeypatch, capsys):
         from textemo.llm import BadRequest, MockBackend

@@ -179,6 +179,14 @@ class TestMatrix:
         assert "error" in rows[0]
         assert "ua" in rows[1]
 
+    def test_programming_error_propagates(self, small_corpus, monkeypatch):
+        def broken(self, request):
+            raise TypeError("bug in the backend")
+
+        monkeypatch.setattr(MockBackend, "send", broken)
+        with pytest.raises(TypeError, match="bug in the backend"):
+            run_matrix([mock_spec(name="one"), mock_spec(name="two")], small_corpus, concurrency=2)
+
     def test_duplicate_names_rejected(self, tmp_path):
         config = tmp_path / "dupl.json"
         row = {"name": "same", "text_source": "whispertiny"}

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import json
+import time
 from collections import Counter
 
 import pytest
@@ -18,6 +18,7 @@ from textemo.llm import (
     RetryPolicy,
     TransportError,
     complete,
+    fan_out,
     normalize_label,
 )
 
@@ -168,14 +169,42 @@ class TestCache:
         assert first.from_cache is False
         assert cache.load(request.fingerprint).raw_text == "sad"
 
-    def test_index_appended_and_rebuildable(self, tmp_path):
+    def test_store_writes_only_the_entry_files(self, tmp_path):
         cache = CompletionCache(tmp_path)
         completion = Completion(raw_text="x", normalized_label=None, from_cache=False, latency_ms=0, attempt_count=1)
         cache.store("aa" * 32, completion)
         cache.store("bb" * 32, completion)
-        lines = (tmp_path / "index.jsonl").read_text().strip().splitlines()
-        assert [json.loads(l)["fingerprint"] for l in lines] == ["aa" * 32, "bb" * 32]
-        assert cache.rebuild_index() == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aa" * 32 + ".json", "bb" * 32 + ".json"]
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_input_order_with_backend_errors_in_place(self, concurrency):
+        def square(n):
+            if n % 3 == 0:
+                raise TransportError(f"item {n}")
+            return n * n
+
+        results = fan_out(square, list(range(20)), concurrency)
+        for n, result in enumerate(results):
+            if n % 3 == 0:
+                assert isinstance(result, TransportError) and str(result) == f"item {n}"
+            else:
+                assert result == n * n
+
+    @pytest.mark.parametrize("exc_type", [AuthError, TypeError])
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_auth_and_other_errors_propagate_and_stop_the_batch(self, exc_type, concurrency):
+        started = []
+
+        def fail(n):
+            started.append(n)
+            time.sleep(0.002)
+            raise exc_type(f"item {n}")
+
+        with pytest.raises(exc_type, match="item 0"):
+            fan_out(fail, list(range(50)), concurrency)
+        assert (started == [0]) if concurrency == 1 else (len(started) < 50)
 
 
 class TestRetry:
