@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # attribute keeps pointing at the submodule
 _EXPORTS = {
     "context": ("ContextWindow", "build_context", "format_context"),
-    "corpus": ("Corpus", "UtteranceId", "UtteranceRecord", "load_corpus", "parse_id", "script_key"),
+    "corpus": ("Corpus", "UtteranceId", "UtteranceRecord", "load_corpus", "parse_id"),
     "llm": (
         "Completion",
         "CompletionCache",
@@ -27,8 +27,8 @@ _EXPORTS = {
         "complete",
         "normalize_label",
     ),
-    "metrics": ("EvalReport", "compare_reports", "evaluate"),
-    "prompts": ("PromptTemplate", "expected_labels", "load_templates", "render"),
+    "metrics": ("EvalReport", "evaluate"),
+    "prompts": ("PromptTemplate", "load_templates", "render"),
     "refine": ("RefinementConfig", "RefinementOutcome", "refine_record"),
     "wer": ("NormalizedTokens", "edit_distance", "normalize", "wer_report"),
 }
@@ -50,11 +50,9 @@ __all__ = [
     "UtteranceId",
     "UtteranceRecord",
     "build_context",
-    "compare_reports",
     "complete",
     "edit_distance",
     "evaluate",
-    "expected_labels",
     "format_context",
     "load_corpus",
     "load_templates",
@@ -63,7 +61,6 @@ __all__ = [
     "parse_id",
     "refine_record",
     "render",
-    "script_key",
     "wer_report",
 ]
 

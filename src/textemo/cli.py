@@ -3,8 +3,11 @@
 Subcommands mirror the pipeline stages: validate, wer, refine, run, matrix,
 evaluate, plus gen-fixture for synthetic test corpora.
 
-Exit codes: 0 success, 1 validation/eval failure, 2 I/O error, 3 backend
-exhaustion.
+Exit codes: 0 success; 1 invalid input (corpus, predictions, config,
+templates or option values, printed as ``error: …``), a schema violation
+found by validate, or a failed matrix row; 2 I/O error; 3 authentication
+failure or requests that failed after retries. Commands raise, and `main`
+alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 # process per row, and start-up is most of each one's time.
 from . import corpus as corpus_mod
 from . import metrics
-from .llm import AuthError, Backend, BackendError, CompletionCache, HttpBackend, MockBackend, fan_out
+from .llm import DEFAULT_ENDPOINT, AuthError, Backend, BackendError, CompletionCache, HttpBackend, MockBackend, fan_out
 
 logger = logging.getLogger(__name__)
 
@@ -32,12 +35,7 @@ EXIT_BACKEND = 3
 
 
 def _make_backend(args: argparse.Namespace) -> Backend:
-    if args.backend == "mock":
-        return MockBackend(seed=args.mock_seed)
-    kwargs = {}
-    if args.endpoint:
-        kwargs["endpoint"] = args.endpoint
-    return HttpBackend(**kwargs)
+    return MockBackend(seed=args.mock_seed) if args.backend == "mock" else HttpBackend(endpoint=args.endpoint)
 
 
 def _make_cache(args: argparse.Namespace) -> CompletionCache | None:
@@ -47,29 +45,19 @@ def _make_cache(args: argparse.Namespace) -> CompletionCache | None:
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=["http", "mock"], default="mock")
     parser.add_argument("--model", default="gpt-3.5-turbo", help="annotator model name")
-    parser.add_argument("--endpoint", default=None, help="chat-completions URL (http backend)")
+    _add_request_args(parser)
+
+
+def _add_request_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--endpoint", default=DEFAULT_ENDPOINT, help="chat-completions URL (http backend)")
     parser.add_argument("--cache-dir", default=None, help="completion cache directory")
     parser.add_argument("--concurrency", type=int, default=4)
     parser.add_argument("--mock-seed", type=int, default=0)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        objects = corpus_mod.read_objects(args.corpus)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except corpus_mod.SchemaError as exc:
-        print(f"violation: {exc}")
-        return EXIT_FAILED
-
-    records = []
-    violations = []
-    for position, obj in enumerate(objects):
-        try:
-            records.append(corpus_mod.record_from_object(obj, position, strict=True))
-        except corpus_mod.SchemaError as exc:
-            violations.append(str(exc))
+    objects = corpus_mod.read_objects(args.corpus)
+    records, violations = corpus_mod.parse_records(objects)
     for violation in violations:
         print(f"violation: {violation}")
     if violations:
@@ -83,15 +71,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_wer(args: argparse.Namespace) -> int:
     from . import wer as wer_mod
 
-    try:
-        corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except corpus_mod.SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    report = wer_mod.wer_report(corpus)
+    report = wer_mod.wer_report(corpus_mod.load_corpus(args.corpus, strict=args.strict))
     print(report.format_table())
     if report.skipped:
         print(f"skipped: {report.skipped}")
@@ -104,24 +84,14 @@ def cmd_wer(args: argparse.Namespace) -> int:
 def cmd_refine(args: argparse.Namespace) -> int:
     from . import refine as refine_mod
 
-    try:
-        objects = corpus_mod.read_objects(args.infile)
-        corpus = corpus_mod.build_corpus(objects, strict=args.strict)
-        cfg = refine_mod.RefinementConfig(
-            min_length=refine_mod.DEFAULT_MIN_LENGTH if args.min_length is None else args.min_length,
-            length_unit="characters" if args.unit == "chars" else "tokens",
-            selector="llm" if args.selector == "llm" else "longest_only",
-            model_priority=args.model_priority.split(",") if args.model_priority else [],
-        )
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except corpus_mod.SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    objects = corpus_mod.read_objects(args.infile)
+    corpus = corpus_mod.build_corpus(objects, strict=args.strict)
+    cfg = refine_mod.RefinementConfig(
+        min_length=refine_mod.DEFAULT_MIN_LENGTH if args.min_length is None else args.min_length,
+        length_unit="characters" if args.unit == "chars" else "tokens",
+        selector="llm" if args.selector == "llm" else "longest_only",
+        model_priority=args.model_priority.split(",") if args.model_priority else [],
+    )
     backend = _make_backend(args) if cfg.selector == "llm" else None
     cache = _make_cache(args)
 
@@ -152,38 +122,25 @@ def cmd_refine(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     from .experiments import ExperimentSpec, run_experiment, write_run_artifacts
 
-    try:
-        corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except corpus_mod.SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-
-    try:
-        spec = ExperimentSpec(
-            name=args.name,
-            text_source=args.text_source,
-            prompt=args.prompt,
-            context_length=args.context_length,
-            context_mode=args.context_mode,
-            backend=args.backend,
-            model=args.model,
-        )
-        result = run_experiment(
-            spec,
-            corpus,
-            _make_backend(args),
-            cache=_make_cache(args),
-            template_file=args.template_file,
-            concurrency=args.concurrency,
-            ua_definition=args.ua_definition,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-
+    corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
+    spec = ExperimentSpec(
+        name=args.name,
+        text_source=args.text_source,
+        prompt=args.prompt,
+        context_length=args.context_length,
+        context_mode=args.context_mode,
+        backend=args.backend,
+        model=args.model,
+    )
+    result = run_experiment(
+        spec,
+        corpus,
+        _make_backend(args),
+        cache=_make_cache(args),
+        template_file=args.template_file,
+        concurrency=args.concurrency,
+        ua_definition=args.ua_definition,
+    )
     paths = write_run_artifacts(result, args.out_dir)
     print(
         f"{len(result.predictions)} prediction(s), fallback_count={result.fallback_count}, "
@@ -202,24 +159,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     from .experiments import format_matrix_table, load_experiment_config, run_matrix
 
-    try:
-        specs = load_experiment_config(args.config)
-        corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (corpus_mod.SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-
     rows = run_matrix(
-        specs,
-        corpus,
+        load_experiment_config(args.config),
+        corpus_mod.load_corpus(args.corpus, strict=args.strict),
         cache=_make_cache(args),
         out_dir=args.out_dir,
         template_file=args.template_file,
         concurrency=args.concurrency,
         mock_seed=args.mock_seed,
+        endpoint=args.endpoint,
         ua_definition=args.ua_definition,
     )
     print(format_matrix_table(rows))
@@ -241,20 +189,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
-        predictions = json.loads(Path(args.predictions).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (corpus_mod.SchemaError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-
-    problem = _prediction_entries_problem(predictions)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_FAILED
+    corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
+    predictions = json.loads(Path(args.predictions).read_text(encoding="utf-8"))
+    _check_prediction_entries(predictions)
 
     by_id = {rec.id.raw: rec for rec in corpus.records}
     pairs: list[tuple[str | None, str]] = []
@@ -267,11 +204,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pairs.append((rec.emotion, entry["prediction"]))
     if missing:
         print(f"warning: {missing} prediction id(s) not in corpus", file=sys.stderr)
-    try:
-        report = metrics.evaluate(pairs, ua_definition=args.ua_definition)
-    except (metrics.EmptyInput, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    report = metrics.evaluate(pairs, ua_definition=args.ua_definition)
     print(report.format_table())
     if args.eval_out:
         Path(args.eval_out).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -279,39 +212,34 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prediction_entries_problem(predictions: object) -> str | None:
-    """Why a decoded predictions file cannot be scored, or None when it can.
+def _check_prediction_entries(predictions: object) -> None:
+    """Raise ValueError unless a decoded predictions file can be scored.
 
     It must be a list of objects with a string "id" and a string
     "prediction", and no id may appear twice.
     """
     if not isinstance(predictions, list):
-        return "predictions file must hold a JSON array"
+        raise ValueError("predictions file must hold a JSON array")
     for index, entry in enumerate(predictions):
         if not isinstance(entry, dict):
-            return f"predictions entry {index}: expected a JSON object"
+            raise ValueError(f"predictions entry {index}: expected a JSON object")
         for key in ("id", "prediction"):
             if not isinstance(entry.get(key), str):
-                return f"predictions entry {index}: {key!r} must be a string"
+                raise ValueError(f"predictions entry {index}: {key!r} must be a string")
     duplicates = [pid for pid, n in Counter(entry["id"] for entry in predictions).items() if n > 1]
     if duplicates:
-        return f"duplicate prediction id(s): {duplicates}"
-    return None
+        raise ValueError(f"duplicate prediction id(s): {duplicates}")
 
 
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
     from . import fixtures
 
-    try:
-        objects = fixtures.generate_corpus(
-            seed=args.seed,
-            n_records=args.records,
-            need_prediction_rate=args.need_prediction_rate,
-            short_rate=args.short_rate,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    objects = fixtures.generate_corpus(
+        seed=args.seed,
+        n_records=args.records,
+        need_prediction_rate=args.need_prediction_rate,
+        short_rate=args.short_rate,
+    )
     fixtures.write_corpus(objects, args.out)
     print(f"wrote {len(objects)} record(s) to {args.out}")
     return EXIT_OK
@@ -364,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None)
     p.add_argument("--ua-definition", choices=["macro-recall", "micro"], default="macro-recall")
     p.add_argument("--strict", action="store_true")
-    _add_backend_args(p)
+    _add_request_args(p)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("evaluate", help="score a predictions file against corpus labels")
@@ -401,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:  # SchemaError, JSONDecodeError, UnicodeDecodeError, EmptyInput, bad options
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

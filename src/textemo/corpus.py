@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -100,20 +100,12 @@ class UtteranceId:
 
     def serialize(self) -> str:
         """Reconstruct the original id string byte-for-byte."""
-        return (
-            f"Ses{self.session:02d}{self.recording}"
-            f"_{self._middle()}_{self.speaker_sex}{self.utterance_index:03d}"
-        )
+        subset = "" if self.subset is None else f"_{self.subset}"
+        return f"{self.session_key}_{self._dialogue()}{subset}_{self.speaker_sex}{self.utterance_index:03d}"
 
-    def _middle(self) -> str:
-        if self.dialogue_kind == KIND_SCRIPT:
-            mid = f"script{self.dialogue_index:02d}"
-            if self.subset is not None:
-                mid += f"_{self.subset}"
-            return mid
-        if self.dialogue_kind == KIND_IMPRO:
-            return f"impro{self.dialogue_index:02d}"
-        return f"{self.dialogue_index:02d}"
+    def _dialogue(self) -> str:
+        prefix = {KIND_SCRIPT: "script", KIND_IMPRO: "impro"}.get(self.dialogue_kind, "")
+        return f"{prefix}{self.dialogue_index:02d}"
 
     @cached_property
     def session_key(self) -> str:
@@ -123,13 +115,7 @@ class UtteranceId:
     @cached_property
     def script_key(self) -> str:
         """Grouping key shared by all subsets and utterances of one script."""
-        if self.dialogue_kind == KIND_SCRIPT:
-            mid = f"script{self.dialogue_index:02d}"
-        elif self.dialogue_kind == KIND_IMPRO:
-            mid = f"impro{self.dialogue_index:02d}"
-        else:
-            mid = f"{self.dialogue_index:02d}"
-        return f"{self.session_key}/{mid}"
+        return f"{self.session_key}/{self._dialogue()}"
 
 
 def parse_id(raw: str) -> UtteranceId:
@@ -206,11 +192,6 @@ def parse_id(raw: str) -> UtteranceId:
     )
 
 
-def script_key(uid: UtteranceId) -> str:
-    """Grouping key for an id; subsets of the same script share one key."""
-    return uid.script_key
-
-
 @dataclass
 class UtteranceRecord:
     """One corpus entry."""
@@ -227,10 +208,9 @@ class UtteranceRecord:
 
 @dataclass
 class Corpus:
-    """Ordered utterance records plus a script-key index over them."""
+    """Utterance records in file order."""
 
     records: list[UtteranceRecord]
-    index: dict[str, list[int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -333,19 +313,31 @@ def _parse_need_prediction(value: object, position: int) -> bool:
 
 
 def build_corpus(objects: Iterable[Mapping], strict: bool = False) -> Corpus:
-    """Assemble a Corpus from decoded JSON objects, indexing by script key."""
+    """Assemble a Corpus from decoded JSON objects, warning about non-contiguous scripts."""
     return index_records([record_from_object(obj, pos, strict=strict) for pos, obj in enumerate(objects)])
 
 
+def parse_records(objects: list[Mapping]) -> tuple[list[UtteranceRecord], list[str]]:
+    """Parse every object in strict mode, collecting each violation instead of stopping at the first."""
+    records: list[UtteranceRecord] = []
+    violations: list[str] = []
+    for position, obj in enumerate(objects):
+        try:
+            records.append(record_from_object(obj, position, strict=True))
+        except SchemaError as exc:
+            violations.append(str(exc))
+    return records, violations
+
+
 def index_records(records: list[UtteranceRecord]) -> Corpus:
-    """Index parsed records by script key, warning about non-contiguous scripts."""
+    """Wrap parsed records in a Corpus, warning about non-contiguous scripts."""
     index: dict[str, list[int]] = {}
     for rec in records:
         index.setdefault(rec.id.script_key, []).append(rec.file_position)
     for key, positions in index.items():
         if positions[-1] - positions[0] + 1 != len(positions):
             logger.warning("script %s: records are non-contiguous in file order", key)
-    return Corpus(records=records, index=index)
+    return Corpus(records=records)
 
 
 def read_objects(path: str | Path) -> list[dict]:

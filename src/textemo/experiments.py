@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -21,6 +21,7 @@ from typing import Mapping
 from .context import build_context, format_context, resolve_text
 from .corpus import Corpus, UtteranceRecord
 from .llm import (
+    DEFAULT_ENDPOINT,
     Backend,
     BackendError,
     CompletionCache,
@@ -31,7 +32,7 @@ from .llm import (
     complete,
     fan_out,
 )
-from .metrics import EmptyInput, EvalReport, evaluate
+from .metrics import EVAL_LABELS, EmptyInput, EvalReport, evaluate
 from .prompts import PromptTemplate, load_templates, render
 
 logger = logging.getLogger(__name__)
@@ -66,19 +67,43 @@ def load_experiment_config(path: str | Path | None = None) -> list[ExperimentSpe
 
     Schema: {"experiments": [{"name", "text_source", "prompt",
     "context_length", "context_mode", "backend", "model"}, ...]}.
-    Names must be unique.
+    "name" and "text_source" are required, "context_length" is an integer and
+    every other field a string. Names must be unique. A malformed config
+    raises ValueError naming the row and the key.
     """
     if path is None:
         text = resources.files("textemo.data").joinpath(DEFAULT_MATRIX_RESOURCE).read_text("utf-8")
     else:
         text = Path(path).read_text(encoding="utf-8")
     data = json.loads(text)
-    rows = data["experiments"] if isinstance(data, Mapping) else data
-    specs = [ExperimentSpec(**row) for row in rows]
+    if isinstance(data, Mapping):
+        if "experiments" not in data:
+            raise ValueError("experiment config: top-level object has no 'experiments' key")
+        data = data["experiments"]
+    if not isinstance(data, list):
+        raise ValueError("experiment config: 'experiments' must be a JSON array")
+    specs = [_spec_from_row(index, row) for index, row in enumerate(data)]
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError("experiment names must be unique within a config")
     return specs
+
+
+def _spec_from_row(index: int, row: object) -> ExperimentSpec:
+    if not isinstance(row, Mapping):
+        raise ValueError(f"experiment row {index}: expected a JSON object")
+    spec_fields = {f.name: f for f in fields(ExperimentSpec)}
+    for key, value in row.items():
+        if key not in spec_fields:
+            raise ValueError(f"experiment row {index}: unknown key {key!r}")
+        expected = int if spec_fields[key].type == "int" else str
+        if type(value) is not expected:  # a JSON true is not a context length
+            kind = "an integer" if expected is int else "a string"
+            raise ValueError(f"experiment row {index}: key {key!r} must be {kind}")
+    for f in spec_fields.values():
+        if f.default is MISSING and f.name not in row:
+            raise ValueError(f"experiment row {index}: required key {f.name!r} is missing")
+    return ExperimentSpec(**row)
 
 
 def validate_spec(spec: ExperimentSpec, corpus: Corpus, templates: Mapping[str, PromptTemplate]) -> None:
@@ -273,18 +298,20 @@ def run_matrix(
     template_file: str | Path | None = None,
     concurrency: int = 4,
     mock_seed: int = 0,
+    endpoint: str = DEFAULT_ENDPOINT,
     ua_definition: str = "macro-recall",
 ) -> list[dict]:
     """Run every spec sequentially against a shared cache.
 
     A row that raises ValueError or BackendError is reported with its error
     and does not abort the rest; anything else, an OSError included,
-    propagates. Returns one comparison row per spec: per-class F1 and UA.
+    propagates. Rows with the http backend post to ``endpoint``. Returns one
+    comparison row per spec: per-class F1 and UA.
     """
     rows: list[dict] = []
     for spec in specs:
         try:
-            backend = MockBackend(seed=mock_seed) if spec.backend == "mock" else HttpBackend()
+            backend = MockBackend(seed=mock_seed) if spec.backend == "mock" else HttpBackend(endpoint=endpoint)
             result = run_experiment(
                 spec,
                 corpus,
@@ -312,9 +339,7 @@ def run_matrix(
 
 
 def format_matrix_table(rows: list[dict]) -> str:
-    header = f"{'experiment':<42}{'UA':>8}" + "".join(
-        f"{'F1 ' + l:>12}" for l in ("neutral", "sad", "happy", "angry")
-    )
+    header = f"{'experiment':<42}{'UA':>8}" + "".join(f"{'F1 ' + l:>12}" for l in EVAL_LABELS)
     lines = [header]
     for row in rows:
         if "error" in row:
@@ -323,7 +348,7 @@ def format_matrix_table(rows: list[dict]) -> str:
         ua = f"{row['ua']:.3f}" if "ua" in row else "-"
         cells = "".join(
             f"{row.get('f1_' + l, float('nan')):>12.3f}" if ("f1_" + l) in row else f"{'-':>12}"
-            for l in ("neutral", "sad", "happy", "angry")
+            for l in EVAL_LABELS
         )
         lines.append(f"{row['name']:<42}{ua:>8}" + cells)
     return "\n".join(lines)

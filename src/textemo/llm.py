@@ -27,17 +27,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
+from .metrics import EVAL_LABELS
+
 if TYPE_CHECKING:
     import requests
 
 logger = logging.getLogger(__name__)
 
-PREDICTION_LABELS = ("happy", "sad", "neutral", "angry")
+# The order MockBackend indexes by hash: changing it changes every mock prediction.
+MOCK_LABEL_ORDER = ("happy", "sad", "neutral", "angry")
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
 
-_LABEL_RE = re.compile(r"\b(happy|sad|neutral|angry)\b")
+_LABEL_RE = re.compile(rf"\b({'|'.join(EVAL_LABELS)})\b")
 _PUNCT_RE = re.compile(r"[^a-z0-9']+")
 
 T = TypeVar("T")
@@ -158,7 +161,7 @@ class MockBackend:
         if fp in self.responses:
             return self.responses[fp]
         digest = hashlib.sha256(f"{self.seed}:{fp}".encode("utf-8")).digest()
-        return PREDICTION_LABELS[digest[0] % len(PREDICTION_LABELS)]
+        return MOCK_LABEL_ORDER[digest[0] % len(MOCK_LABEL_ORDER)]
 
 
 class HttpBackend:

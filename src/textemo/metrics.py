@@ -122,23 +122,3 @@ def evaluate(
         n_scored=n_scored,
         n_excluded=n_excluded,
     )
-
-
-@dataclass
-class ReportDelta:
-    """Metric differences of report b relative to report a."""
-
-    ua_delta: float
-    f1_delta: dict[str, float]
-
-    def format_line(self) -> str:
-        per_class = "  ".join(f"{l}:{d:+.3f}" for l, d in self.f1_delta.items())
-        return f"UA {self.ua_delta:+.3f}  F1 {per_class}"
-
-
-def compare_reports(a: EvalReport, b: EvalReport) -> ReportDelta:
-    """Per-class F1 and UA deltas (b minus a) for the experiment log."""
-    return ReportDelta(
-        ua_delta=b.ua - a.ua,
-        f1_delta={l: b.per_class_f1[l] - a.per_class_f1[l] for l in EVAL_LABELS},
-    )

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-PREDICTION_LABELS = frozenset({"happy", "sad", "neutral", "angry"})
-
 SLOT_CONTEXT = "{context}"
 SLOT_SPEAKER = "{current speaker}"
 SLOT_SENTENCE = "{current sentence}"
@@ -38,14 +36,6 @@ class UnknownTemplate(KeyError):
 class PromptTemplate:
     name: str
     body: str
-
-    def slot_count(self, slot: str) -> int:
-        return self.body.count(slot)
-
-
-def expected_labels() -> frozenset[str]:
-    """The closed set of labels a prediction response may carry."""
-    return PREDICTION_LABELS
 
 
 def render(template: PromptTemplate, context: str, speaker: str, sentence: str) -> str:

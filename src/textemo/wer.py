@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Corpus
+from .metrics import EVAL_LABELS
 
 logger = logging.getLogger(__name__)
 
 # Emotion classes of the aggregate report: the 4 target labels, a catch-all
 # for every other label, and the all-classes roll-up.
-TARGET_EMOTIONS = ("neutral", "sad", "happy", "angry")
-REPORT_CLASSES = TARGET_EMOTIONS + ("other", "overall")
+REPORT_CLASSES = EVAL_LABELS + ("other", "overall")
 
 _CLEAN_RE = re.compile(r"[^a-z0-9']+")
 
@@ -222,7 +222,7 @@ def emotion_class(label: str | None) -> str | None:
     if label is None:
         return None
     lowered = label.strip().lower()
-    return lowered if lowered in TARGET_EMOTIONS else "other"
+    return lowered if lowered in EVAL_LABELS else "other"
 
 
 def wer_report(corpus: Corpus) -> WerReport:

@@ -292,6 +292,49 @@ class TestMatrix:
         config.write_text(json.dumps({"experiments": [good, bad]}))
         assert main(["matrix", str(fixture_corpus), "--config", str(config)]) == 1
 
+    def test_http_rows_post_to_endpoint(self, tmp_path, fixture_corpus, monkeypatch):
+        import requests
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": "sad"}}]}
+
+        class RecordingSession:
+            urls: list[str] = []
+
+            def post(self, url, **kwargs):
+                RecordingSession.urls.append(url)
+                return Response()
+
+        monkeypatch.setenv("TEXTEMO_API_KEY", "test-key")
+        monkeypatch.setattr(requests, "Session", RecordingSession)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [{"name": "h", "text_source": "whispertiny", "backend": "http"}]}))
+        endpoint = "http://127.0.0.1:9/v1/chat"
+        argv = ["matrix", str(fixture_corpus), "--config", str(config), "--endpoint", endpoint, "--concurrency", "1"]
+        assert main(argv) == 0
+        assert RecordingSession.urls and set(RecordingSession.urls) == {endpoint}
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"runs": []}, "no 'experiments' key"),
+            ({"experiments": ["ctx5"]}, "row 0: expected a JSON object"),
+            ([{"name": "a", "text_source": "whispertiny", "temprature": 0.5}], "row 0: unknown key 'temprature'"),
+            ([{"name": "a", "text_source": "whispertiny"}, {"text_source": "whispertiny"}], "row 1: required key 'name'"),
+            ([{"name": "a"}], "row 0: required key 'text_source'"),
+            ([{"name": "a", "text_source": "whispertiny", "context_length": "3"}], "'context_length' must be an integer"),
+        ],
+    )
+    def test_malformed_config_is_an_error(self, tmp_path, fixture_corpus, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["matrix", str(fixture_corpus), "--config", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+
 
 class TestEvaluate:
     def test_round_trip_with_run(self, tmp_path, fixture_corpus, capsys):
@@ -372,3 +415,24 @@ class TestGenFixture:
         path = tmp_path / "gen.json"
         main(["gen-fixture", "--out", str(path), "--records", "40", "--seed", "3"])
         assert main(["validate", str(path)]) == 0
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "content", [b'[{"id": "Ses01F_impro01_F000",', b"\xff\xfe[]"], ids=["truncated-array", "not-utf8"]
+    )
+    @pytest.mark.parametrize("command", ["validate", "wer", "refine", "run", "matrix", "evaluate"])
+    def test_is_an_error(self, tmp_path, fixture_corpus, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {
+            "validate": ["validate", bad],
+            "wer": ["wer", bad],
+            "refine": ["refine", "--in", bad, "--out", tmp_path / "out.json"],
+            "run": ["run", bad, "--text-source", "whispertiny", "--out-dir", tmp_path / "runs"],
+            "matrix": ["matrix", bad, "--out-dir", tmp_path / "matrix"],
+            "evaluate": ["evaluate", "--predictions", bad, "--corpus", fixture_corpus],
+        }[command]
+        assert main([str(arg) for arg in argv]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1

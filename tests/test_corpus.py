@@ -13,7 +13,6 @@ from textemo.corpus import (
     load_corpus,
     parse_id,
     record_from_object,
-    script_key,
 )
 
 from conftest import make_entry
@@ -88,20 +87,20 @@ class TestParseId:
 
 class TestScriptKey:
     def test_subsets_share_key(self):
-        a = script_key(parse_id("Ses01F_script01_1_F000"))
-        b = script_key(parse_id("Ses01F_script01_2_F000"))
+        a = parse_id("Ses01F_script01_1_F000").script_key
+        b = parse_id("Ses01F_script01_2_F000").script_key
         assert a == b == "Ses01F/script01"
 
     def test_bare_key(self):
-        assert script_key(parse_id("Ses01Z_02_F000")) == "Ses01Z/02"
+        assert parse_id("Ses01Z_02_F000").script_key == "Ses01Z/02"
 
     def test_key_ignores_utterance_part(self):
-        a = script_key(parse_id("Ses03M_impro02_F001"))
-        b = script_key(parse_id("Ses03M_impro02_M044"))
+        a = parse_id("Ses03M_impro02_F001").script_key
+        b = parse_id("Ses03M_impro02_M044").script_key
         assert a == b == "Ses03M/impro02"
 
     def test_recording_letter_distinguishes(self):
-        assert script_key(parse_id("Ses01F_01_F000")) != script_key(parse_id("Ses01M_01_F000"))
+        assert parse_id("Ses01F_01_F000").script_key != parse_id("Ses01M_01_F000").script_key
 
 
 # Strategy over the full id grammar, for the round-trip property.
@@ -243,31 +242,6 @@ class TestLoadCorpus:
 
 
 class TestIndex:
-    def test_partition(self):
-        objects = (
-            [make_entry(f"Ses01F_script01_1_F{i:03d}") for i in range(3)]
-            + [make_entry(f"Ses01F_script01_2_F{i:03d}") for i in range(2)]
-            + [make_entry(f"Ses01F_impro02_M{i:03d}") for i in range(4)]
-            + [make_entry(f"Ses02Z_01_F{i:03d}") for i in range(2)]
-        )
-        corpus = build_corpus(objects)
-        assert sum(len(v) for v in corpus.index.values()) == len(corpus)
-        seen = [p for positions in corpus.index.values() for p in positions]
-        assert sorted(seen) == list(range(len(corpus)))
-        # subsets merged under one key
-        assert len(corpus.index["Ses01F/script01"]) == 5
-
-    def test_order_stability(self):
-        objects = [make_entry(f"Ses01F_script01_1_F{i:03d}") for i in range(4)] + [
-            make_entry(f"Ses01F_impro02_M{i:03d}") for i in range(3)
-        ]
-        corpus = build_corpus(objects)
-        buckets = sorted(corpus.index.values(), key=lambda ps: ps[0])
-        flattened = [p for ps in buckets for p in ps]
-        assert flattened == list(range(len(corpus)))
-        for positions in corpus.index.values():
-            assert positions == sorted(positions)
-
     def test_non_contiguous_script_warns(self, caplog):
         objects = [
             make_entry("Ses01F_script01_1_F000"),

@@ -9,7 +9,6 @@ from textemo.llm import CompletionRequest, MockBackend, normalize_label
 from textemo.metrics import (
     EVAL_LABELS,
     EmptyInput,
-    compare_reports,
     evaluate,
 )
 
@@ -135,33 +134,3 @@ class TestEvaluate:
     def test_unknown_definition(self):
         with pytest.raises(ValueError):
             evaluate([("sad", "sad")], ua_definition="weighted")
-
-
-class TestCompareReports:
-    def test_zero_delta(self):
-        report = evaluate([("sad", "sad"), ("neutral", "neutral")])
-        delta = compare_reports(report, report)
-        assert delta.ua_delta == 0.0
-        assert all(d == 0.0 for d in delta.f1_delta.values())
-
-    def test_delta_between_distinct_reports(self):
-        a = evaluate([("sad", "sad")] * 446 + [("sad", "neutral")] * 554)
-        b = evaluate([("sad", "sad")] * 511 + [("sad", "neutral")] * 489)
-        delta = compare_reports(a, b)
-        assert a.ua == pytest.approx(0.446)
-        assert b.ua == pytest.approx(0.511)
-        assert delta.ua_delta == pytest.approx(0.065, abs=1e-9)
-
-    def test_antisymmetric(self):
-        a = evaluate([("sad", "sad"), ("neutral", "sad")])
-        b = evaluate([("sad", "sad"), ("neutral", "neutral")])
-        forward = compare_reports(a, b)
-        backward = compare_reports(b, a)
-        assert forward.ua_delta == -backward.ua_delta
-        for label in EVAL_LABELS:
-            assert forward.f1_delta[label] == -backward.f1_delta[label]
-
-    def test_format_line(self):
-        a = evaluate([("sad", "sad")])
-        line = compare_reports(a, a).format_line()
-        assert line.startswith("UA +0.000")

@@ -8,7 +8,6 @@ from textemo.prompts import (
     EmptySentence,
     PromptTemplate,
     UnknownTemplate,
-    expected_labels,
     get_template,
     load_templates,
     parse_template_file,
@@ -128,12 +127,3 @@ class TestTemplateFile:
         with pytest.raises(ValueError, match="before the first"):
             parse_template_file("stray text\n--- a\nx\n")
 
-
-class TestExpectedLabels:
-    def test_four_labels(self):
-        assert expected_labels() == {"happy", "sad", "neutral", "angry"}
-        assert len(expected_labels()) == 4
-
-    def test_membership(self):
-        assert "sad" in expected_labels()
-        assert "frustration" not in expected_labels()
