@@ -34,35 +34,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Completion",
-    "CompletionCache",
-    "CompletionRequest",
-    "ContextWindow",
-    "Corpus",
-    "EvalReport",
-    "HttpBackend",
-    "MockBackend",
-    "NormalizedTokens",
-    "PromptTemplate",
-    "RefinementConfig",
-    "RefinementOutcome",
-    "UtteranceId",
-    "UtteranceRecord",
-    "build_context",
-    "complete",
-    "edit_distance",
-    "evaluate",
-    "format_context",
-    "load_corpus",
-    "load_templates",
-    "normalize",
-    "normalize_label",
-    "parse_id",
-    "refine_record",
-    "render",
-    "wer_report",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -120,7 +120,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .experiments import ExperimentSpec, run_experiment, write_run_artifacts
+    from .experiments import ExperimentSpec, load_templates, run_experiment, write_run_artifacts
 
     corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
     spec = ExperimentSpec(
@@ -137,7 +137,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         corpus,
         _make_backend(args),
         cache=_make_cache(args),
-        template_file=args.template_file,
+        templates=load_templates(args.template_file),
         concurrency=args.concurrency,
         ua_definition=args.ua_definition,
     )
@@ -190,7 +190,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
-    predictions = json.loads(Path(args.predictions).read_text(encoding="utf-8"))
+    predictions = corpus_mod.read_json(args.predictions)
     _check_prediction_entries(predictions)
 
     by_id = {rec.id.raw: rec for rec in corpus.records}

@@ -10,6 +10,7 @@ regardless of their need_prediction flag.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .corpus import Corpus, UtteranceRecord
@@ -59,11 +60,10 @@ def resolve_text(record: UtteranceRecord, text_source: str) -> str:
     return fallback
 
 
-def _check_text_source(corpus: Corpus, text_source: str) -> None:
-    if text_source == ENSEMBLE_SOURCE:
-        return
-    if text_source not in corpus.model_names():
-        raise UnknownTextSource(f"{text_source!r} is not 'ensemble' or an ASR model in this corpus")
+def check_text_source(corpus: Corpus, text_source: str) -> None:
+    """Raise UnknownTextSource unless text_source is 'ensemble' or an ASR model of the corpus."""
+    if text_source != ENSEMBLE_SOURCE and text_source not in corpus.model_names:
+        raise UnknownTextSource(f"unknown text source {text_source!r}: not 'ensemble' or an ASR model in the corpus")
 
 
 def build_context(
@@ -75,10 +75,11 @@ def build_context(
 ) -> ContextWindow:
     """Window of up to `length` utterances preceding `target` in file order.
 
-    Eligibility is same-session (session mode) or same-script (script mode);
-    the window is the last `length` eligible predecessors, oldest first.
-    truncated_by_boundary is set when ineligible predecessors, not the length
-    budget or the start of the corpus, capped the window.
+    The window is a slice of the target's group: its script (script mode)
+    or its session (session mode), as grouped once by index_records. It
+    holds the last `length` group members before the target, oldest first.
+    truncated_by_boundary is set when the group, not the length budget or
+    the start of the corpus, capped the window.
     """
     if mode not in (MODE_SESSION, MODE_SCRIPT):
         raise ValueError(f"unknown context mode {mode!r}")
@@ -86,27 +87,15 @@ def build_context(
         raise ValueError("context length must be >= 1")
     if not 0 <= target < len(corpus.records):
         raise InvalidTarget(f"position {target} outside corpus of {len(corpus.records)} records")
-    _check_text_source(corpus, text_source)
+    check_text_source(corpus, text_source)
 
-    target_rec = corpus.records[target]
-    if mode == MODE_SCRIPT:
-        wanted = target_rec.id.script_key
-        eligible = lambda rec: rec.id.script_key == wanted
-    else:
-        wanted = target_rec.id.session_key
-        eligible = lambda rec: rec.id.session_key == wanted
+    uid = corpus.records[target].id
+    group = corpus.scripts[uid.script_key] if mode == MODE_SCRIPT else corpus.sessions[uid.session_key]
+    place = bisect_left(group, target)
+    window = [corpus.records[pos] for pos in group[max(0, place - length) : place]]
 
-    collected: list[UtteranceRecord] = []
-    pos = target - 1
-    while pos >= 0 and len(collected) < length:
-        rec = corpus.records[pos]
-        if eligible(rec):
-            collected.append(rec)
-        pos -= 1
-    collected.reverse()
-
-    truncated = len(collected) < length and target > len(collected)
-    items = [(rec.speaker, resolve_text(rec, text_source)) for rec in collected]
+    truncated = len(window) < length and target > len(window)
+    items = [(rec.speaker, resolve_text(rec, text_source)) for rec in window]
     return ContextWindow(
         items=items,
         mode=mode,

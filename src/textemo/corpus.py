@@ -208,22 +208,23 @@ class UtteranceRecord:
 
 @dataclass
 class Corpus:
-    """Utterance records in file order."""
+    """Utterance records in file order, grouped once by script and by session.
+
+    `scripts` and `sessions` map each key to its records' file positions in
+    file order; `model_names` is every ASR model name in the corpus. Build
+    one with index_records.
+    """
 
     records: list[UtteranceRecord]
+    scripts: dict[str, list[int]]
+    sessions: dict[str, list[int]]
+    model_names: frozenset[str]
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[UtteranceRecord]:
         return iter(self.records)
-
-    def model_names(self) -> set[str]:
-        """Union of ASR model names appearing anywhere in the corpus."""
-        names: set[str] = set()
-        for rec in self.records:
-            names.update(rec.transcriptions)
-        return names
 
 
 def record_from_object(obj: Mapping, position: int, strict: bool = False) -> UtteranceRecord:
@@ -330,24 +331,43 @@ def parse_records(objects: list[Mapping]) -> tuple[list[UtteranceRecord], list[s
 
 
 def index_records(records: list[UtteranceRecord]) -> Corpus:
-    """Wrap parsed records in a Corpus, warning about non-contiguous scripts."""
-    index: dict[str, list[int]] = {}
+    """Group parsed records by script and session, warning about non-contiguous scripts."""
+    scripts: dict[str, list[int]] = {}
+    sessions: dict[str, list[int]] = {}
+    model_names: set[str] = set()
     for rec in records:
-        index.setdefault(rec.id.script_key, []).append(rec.file_position)
-    for key, positions in index.items():
+        scripts.setdefault(rec.id.script_key, []).append(rec.file_position)
+        sessions.setdefault(rec.id.session_key, []).append(rec.file_position)
+        model_names.update(rec.transcriptions)
+    for key, positions in scripts.items():
         if positions[-1] - positions[0] + 1 != len(positions):
             logger.warning("script %s: records are non-contiguous in file order", key)
-    return Corpus(records=records)
+    return Corpus(records=records, scripts=scripts, sessions=sessions, model_names=frozenset(model_names))
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; bytes that do not decode are a ValueError led by the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_json(path: str | Path, text: str | None = None):
+    """A JSON file's value (from `text` if already read); bad JSON is a ValueError led by the path."""
+    try:
+        return json.loads(read_text(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_objects(path: str | Path) -> list[dict]:
     """Read a JSON-array or JSON-lines corpus file (auto-detected)."""
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.strip()
+    stripped = read_text(path).strip()
     if not stripped:
         raise SchemaError(0, None, "file is empty")
     if stripped.startswith("["):
-        data = json.loads(stripped)
+        data = read_json(path, stripped)
         if not isinstance(data, list):
             raise SchemaError(0, None, "top-level JSON value is not an array")
         return data

@@ -18,8 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .context import build_context, format_context, resolve_text
-from .corpus import Corpus, UtteranceRecord
+from .context import build_context, check_text_source, format_context, resolve_text
+from .corpus import Corpus, UtteranceRecord, read_json
 from .llm import (
     DEFAULT_ENDPOINT,
     Backend,
@@ -72,10 +72,9 @@ def load_experiment_config(path: str | Path | None = None) -> list[ExperimentSpe
     raises ValueError naming the row and the key.
     """
     if path is None:
-        text = resources.files("textemo.data").joinpath(DEFAULT_MATRIX_RESOURCE).read_text("utf-8")
+        data = json.loads(resources.files("textemo.data").joinpath(DEFAULT_MATRIX_RESOURCE).read_text("utf-8"))
     else:
-        text = Path(path).read_text(encoding="utf-8")
-    data = json.loads(text)
+        data = read_json(path)
     if isinstance(data, Mapping):
         if "experiments" not in data:
             raise ValueError("experiment config: top-level object has no 'experiments' key")
@@ -109,8 +108,7 @@ def _spec_from_row(index: int, row: object) -> ExperimentSpec:
 def validate_spec(spec: ExperimentSpec, corpus: Corpus, templates: Mapping[str, PromptTemplate]) -> None:
     if spec.prompt not in templates:
         raise ValueError(f"experiment {spec.name!r}: unknown template {spec.prompt!r}")
-    if spec.text_source != "ensemble" and spec.text_source not in corpus.model_names():
-        raise ValueError(f"experiment {spec.name!r}: unknown text source {spec.text_source!r}")
+    check_text_source(corpus, spec.text_source)
 
 
 @dataclass
@@ -120,7 +118,6 @@ class PredictionEvent:
     id: str
     fingerprint: str
     prediction: str
-    raw_text: str
     from_cache: bool
     fallback: bool
 
@@ -164,7 +161,6 @@ def _predict_one(
         id=record.id.raw,
         fingerprint=request.fingerprint,
         prediction=label if label is not None else FALLBACK_LABEL,
-        raw_text=completion.raw_text,
         from_cache=completion.from_cache,
         fallback=label is None,
     )
@@ -176,12 +172,16 @@ def run_experiment(
     backend: Backend,
     cache: CompletionCache | None = None,
     retry: RetryPolicy | None = None,
-    template_file: str | Path | None = None,
+    templates: Mapping[str, PromptTemplate] | None = None,
     concurrency: int = 4,
     ua_definition: str = "macro-recall",
 ) -> RunResult:
-    """Predict every need_prediction record and evaluate when truth exists."""
-    templates = load_templates(template_file)
+    """Predict every need_prediction record and evaluate when truth exists.
+
+    `templates` is a parsed template mapping; None means the shipped ones.
+    """
+    if templates is None:
+        templates = load_templates()
     validate_spec(spec, corpus, templates)
     template = templates[spec.prompt]
 
@@ -301,13 +301,16 @@ def run_matrix(
     endpoint: str = DEFAULT_ENDPOINT,
     ua_definition: str = "macro-recall",
 ) -> list[dict]:
-    """Run every spec sequentially against a shared cache.
+    """Run every spec sequentially against a shared cache and one parse of
+    the templates.
 
-    A row that raises ValueError or BackendError is reported with its error
-    and does not abort the rest; anything else, an OSError included,
+    A template file that does not load stops the matrix before any row
+    runs. A row that raises ValueError or BackendError is reported with its
+    error and does not abort the rest; anything else, an OSError included,
     propagates. Rows with the http backend post to ``endpoint``. Returns one
     comparison row per spec: per-class F1 and UA.
     """
+    templates = load_templates(template_file)
     rows: list[dict] = []
     for spec in specs:
         try:
@@ -318,7 +321,7 @@ def run_matrix(
                 backend,
                 cache=cache,
                 retry=retry,
-                template_file=template_file,
+                templates=templates,
                 concurrency=concurrency,
                 ua_definition=ua_definition,
             )

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .corpus import read_text
+
 SLOT_CONTEXT = "{context}"
 SLOT_SPEAKER = "{current speaker}"
 SLOT_SENTENCE = "{current sentence}"
@@ -92,7 +94,7 @@ def load_templates(path: str | Path | None = None) -> dict[str, PromptTemplate]:
     if path is None:
         text = resources.files("textemo.data").joinpath(DEFAULT_TEMPLATE_RESOURCE).read_text("utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     return parse_template_file(text)
 
 

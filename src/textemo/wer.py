@@ -7,11 +7,11 @@ token and align against ASR outputs such as "but's". WER is the standard
 report micro-averages within each emotion class (total edits over total
 reference tokens).
 
-Two kernels compute the alignment cost. `edit_distance` fills the full
-dynamic-programming matrix and backtraces it for the S/D/I decomposition.
-`distance` returns only the total, with the bit-vector algorithm of Myers
-(1999, J. ACM 46(3)) in the Levenshtein form of Hyyrö (2003); `wer` and
-`wer_report` use it.
+Both alignment kernels use the bit-vector algorithm of Myers (1999, J. ACM
+46(3)) in the Levenshtein form of Hyyrö (2003), which advances a whole DP
+column per hypothesis token. `distance` returns only the total; `wer` and
+`wer_report` use it. `edit_distance` keeps two vectors per column and
+backtraces over them for the S/D/I decomposition.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import io
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import Corpus
 from .metrics import EVAL_LABELS
@@ -56,8 +56,7 @@ def normalize(text: str) -> NormalizedTokens:
     return NormalizedTokens(tokens=tuple(tokens), source=text)
 
 
-@dataclass(frozen=True)
-class EditOps:
+class EditOps(NamedTuple):
     """Substitution/deletion/insertion decomposition of one optimal alignment."""
 
     substitutions: int
@@ -77,45 +76,56 @@ def edit_distance(ref: NormalizedTokens | Sequence[str], hyp: NormalizedTokens |
     """Minimum-cost alignment with unit costs, decomposed into S/D/I.
 
     Ties during backtrace prefer substitution over deletion over insertion,
-    so the decomposition is deterministic.
+    so the decomposition is deterministic. The DP columns come from the
+    bit-vector recurrence of `_bit_distance`; the backtrace reads two of
+    their vectors per column instead of a full matrix of costs.
     """
     a = _tokens(ref)
     b = _tokens(hyp)
+    # Equal tokens at either end are matched on an optimal alignment, and
+    # trimming them leaves the backtrace's S/D/I counts as they were.
     n, m = len(a), len(b)
-
-    rows = [list(range(m + 1))]
-    prev = rows[0]
-    for i in range(1, n + 1):
-        ai = a[i - 1]
-        cur = [i]
-        append = cur.append
-        left = i
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (ai != b[j - 1])
-            up = prev[j] + 1
-            best = diag if diag <= up else up
-            if left + 1 < best:
-                best = left + 1
-            append(best)
-            left = best
-        rows.append(cur)
-        prev = cur
+    while n and m and a[n - 1] == b[m - 1]:
+        n, m = n - 1, m - 1
+    k = 0
+    while k < n and k < m and a[k] == b[k]:
+        k += 1
+    a, b, n, m = a[k:n], b[k:m], n - k, m - k
+    if not n or not m:
+        return EditOps(0, n, m)
+    get = _match_masks(a).get
+    full = (1 << n) - 1
+    # Index j holds column j: bit i-1 of d0s[j] is set where D[i][j] ==
+    # D[i-1][j-1], and bit i-1 of vps[j] where D[i][j] == D[i-1][j] + 1.
+    vp, vn = full, 0
+    d0s, vps = [0], [0]
+    for token in b:
+        eq = get(token, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = (vn | ~(d0 | vp)) << 1 | 1
+        vp = ((d0 & vp) << 1 | ~(d0 | hp)) & full
+        vn = hp & d0
+        d0s.append(d0)
+        vps.append(vp)
 
     subs = dels = ins = 0
     i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and rows[i][j] == rows[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
-            if a[i - 1] != b[j - 1]:
-                subs += 1
+    while i and j:
+        bit = 1 << (i - 1)
+        if a[i - 1] == b[j - 1]:  # a match is always on an optimal path
             i -= 1
             j -= 1
-        elif i > 0 and rows[i][j] == rows[i - 1][j] + 1:
+        elif not d0s[j] & bit:  # D[i][j] == D[i-1][j-1] + 1
+            subs += 1
+            i -= 1
+            j -= 1
+        elif vps[j] & bit:
             dels += 1
             i -= 1
         else:
             ins += 1
             j -= 1
-    return EditOps(substitutions=subs, deletions=dels, insertions=ins)
+    return EditOps(subs, dels + i, ins + j)
 
 
 def _match_masks(ref: Sequence[str]) -> dict[str, int]:

@@ -421,7 +421,9 @@ class TestUnreadableInput:
     @pytest.mark.parametrize(
         "content", [b'[{"id": "Ses01F_impro01_F000",', b"\xff\xfe[]"], ids=["truncated-array", "not-utf8"]
     )
-    @pytest.mark.parametrize("command", ["validate", "wer", "refine", "run", "matrix", "evaluate"])
+    @pytest.mark.parametrize(
+        "command", ["validate", "wer", "refine", "run", "matrix", "matrix-config", "evaluate"]
+    )
     def test_is_an_error(self, tmp_path, fixture_corpus, capsys, command, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -431,8 +433,18 @@ class TestUnreadableInput:
             "refine": ["refine", "--in", bad, "--out", tmp_path / "out.json"],
             "run": ["run", bad, "--text-source", "whispertiny", "--out-dir", tmp_path / "runs"],
             "matrix": ["matrix", bad, "--out-dir", tmp_path / "matrix"],
+            "matrix-config": ["matrix", fixture_corpus, "--config", bad],
             "evaluate": ["evaluate", "--predictions", bad, "--corpus", fixture_corpus],
         }[command]
         assert main([str(arg) for arg in argv]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
+        assert errors[0].startswith(f"error: {bad}: ")
+
+    def test_undecodable_template_file_is_named(self, tmp_path, fixture_corpus, capsys):
+        bad = tmp_path / "templates.txt"
+        bad.write_bytes(b"--- baseline\n\xff\n")
+        argv = ["run", fixture_corpus, "--text-source", "whispertiny", "--template-file", bad]
+        assert main([str(arg) for arg in argv + ["--out-dir", tmp_path / "runs"]]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")

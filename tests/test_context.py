@@ -144,6 +144,26 @@ class TestProperties:
                     for p in expect_positions:
                         assert corpus.records[p].id.script_key == key
 
+    def test_oracle_equivalence_on_shuffled_corpora(self, caplog):
+        # generated corpora keep each script contiguous; shuffling interleaves
+        # scripts and sessions, so a group's positions are far apart
+        rng = random.Random(2024)
+        for seed in range(25):
+            objects = generate_corpus(seed=seed, n_records=rng.randint(2, 90))
+            rng.shuffle(objects)
+            corpus = build_corpus(objects)
+            for target in range(len(corpus.records)):
+                for mode in ("script", "session"):
+                    for length in range(1, 16):
+                        window = build_context(corpus, target, mode=mode, length=length, text_source="whispertiny")
+                        expect = brute_force_window(corpus, target, mode, length)
+                        assert [t for _, t in window.items] == [
+                            corpus.records[p].transcriptions["whispertiny"] for p in expect
+                        ]
+                        assert [s for s, _ in window.items] == [corpus.records[p].speaker for p in expect]
+                        assert window.truncated_by_boundary == (len(expect) < length and target > len(expect))
+        assert any("non-contiguous" in m for m in caplog.messages)
+
     def test_window_size_monotone_in_length(self):
         corpus = self._random_corpus(99)
         for target in range(0, len(corpus.records), 7):

@@ -35,6 +35,35 @@ def brute_force_distance(a, b):
     )
 
 
+def dp_edit_ops(a, b):
+    """Full cost matrix plus backtrace with the tie rule (substitution, then
+    deletion, then insertion); the oracle for both kernels' results."""
+    n, m = len(a), len(b)
+    rows = [list(range(m + 1))]
+    for i in range(1, n + 1):
+        row = [i]
+        for j in range(1, m + 1):
+            row.append(min(rows[i - 1][j - 1] + (a[i - 1] != b[j - 1]), rows[i - 1][j] + 1, row[j - 1] + 1))
+        rows.append(row)
+    subs = dels = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and rows[i][j] == rows[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
+            subs += a[i - 1] != b[j - 1]
+            i, j = i - 1, j - 1
+        elif i > 0 and rows[i][j] == rows[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, dels, ins
+
+
+def split(ops):
+    return ops.substitutions, ops.deletions, ops.insertions
+
+
 class TestNormalize:
     def test_ground_truth_tokens(self):
         tokens = normalize(GROUND_TRUTH).tokens
@@ -107,9 +136,27 @@ class TestEditDistance:
             for b in seqs:
                 assert edit_distance(a, b).total == brute_force_distance(a, b)
 
+    def test_split_matches_dp_backtrace_exhaustive(self):
+        # every pair with lengths <= 4 over 3 symbols, ties included
+        import itertools
+
+        seqs = [p for n in range(5) for p in itertools.product("abc", repeat=n)]
+        for a in seqs:
+            for b in seqs:
+                assert split(edit_distance(a, b)) == dp_edit_ops(a, b), (a, b)
+
+    @pytest.mark.parametrize("ref_len", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("hyp_len", [1, 64, 230])
+    def test_split_matches_dp_backtrace_long(self, ref_len, hyp_len):
+        rng = random.Random(ref_len * 1000 + hyp_len)
+        ref = rng.choices(["a", "b", "c", "d"], k=ref_len)
+        hyp = [tok if rng.random() < 0.7 else rng.choice("abxy") for tok in ref][:hyp_len]
+        hyp += rng.choices("abxy", k=max(0, hyp_len - len(hyp)))
+        assert split(edit_distance(ref, hyp)) == dp_edit_ops(ref, hyp)
+
 
 class TestDistance:
-    """The bit-parallel kernel against the DP kernel, which c01 gates."""
+    """The distance-only kernel against the test-side DP oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -117,7 +164,7 @@ class TestDistance:
         st.lists(st.sampled_from("abcd"), max_size=12),
     )
     def test_matches_edit_distance_short(self, a, b):
-        assert distance(a, b) == edit_distance(a, b).total
+        assert distance(a, b) == sum(dp_edit_ops(a, b))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -125,7 +172,7 @@ class TestDistance:
         st.lists(st.sampled_from(["yeah", "i", "me", "no", "so"]), max_size=260),
     )
     def test_matches_edit_distance_long(self, a, b):
-        assert distance(a, b) == edit_distance(a, b).total
+        assert distance(a, b) == sum(dp_edit_ops(a, b))
 
     @pytest.mark.parametrize("ref_len", [0, 1, 63, 64, 65, 200, 257])
     @pytest.mark.parametrize("hyp_len", [0, 1, 64, 230])
@@ -134,7 +181,7 @@ class TestDistance:
         ref = rng.choices(["a", "b", "c", "d", "e", "f"], k=ref_len)
         hyp = [tok if rng.random() < 0.7 else rng.choice("abcxyz") for tok in ref][:hyp_len]
         hyp += rng.choices("abxy", k=max(0, hyp_len - len(hyp)))
-        assert distance(ref, hyp) == edit_distance(ref, hyp).total
+        assert distance(ref, hyp) == sum(dp_edit_ops(ref, hyp))
 
     def test_empty_sides(self):
         assert distance([], []) == 0
@@ -149,7 +196,7 @@ class TestDistance:
             (["no"] * 70 + ["yes"] * 70, ["yes"] * 70 + ["no"] * 70),
         ]
         for a, b in cases:
-            assert distance(a, b) == edit_distance(a, b).total
+            assert distance(a, b) == sum(dp_edit_ops(a, b))
 
     def test_accepts_normalized_tokens(self):
         assert distance(normalize(GROUND_TRUTH), normalize("Yeah")) == 10
@@ -281,7 +328,7 @@ class TestWerReport:
             if cls is None or not ref:
                 continue
             for model, text in rec.transcriptions.items():
-                edits = edit_distance(ref, normalize(text).tokens).total
+                edits = sum(dp_edit_ops(ref, normalize(text).tokens))
                 for bucket in (cls, "overall"):
                     cell = totals.setdefault((model, bucket), [0, 0, 0])
                     cell[0] += edits
