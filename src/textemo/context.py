@@ -9,13 +9,10 @@ regardless of their need_prediction flag.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .corpus import Corpus, UtteranceRecord
-
-logger = logging.getLogger(__name__)
 
 ENSEMBLE_SOURCE = "ensemble"
 EMPTY_CONTEXT = "(no prior context)"
@@ -42,22 +39,16 @@ class ContextWindow:
     truncated_by_boundary: bool
 
 
+def source_text(record: UtteranceRecord, text_source: str) -> str | None:
+    """Record text under the requested source, or None when the record lacks it."""
+    return record.ensemble if text_source == ENSEMBLE_SOURCE else record.transcriptions.get(text_source)
+
+
 def resolve_text(record: UtteranceRecord, text_source: str) -> str:
     """Record text under the requested source, falling back to the longest
-    available transcription (with a warning) when the source is absent."""
-    if text_source == ENSEMBLE_SOURCE:
-        if record.ensemble is not None:
-            return record.ensemble
-    elif text_source in record.transcriptions:
-        return record.transcriptions[text_source]
-    fallback = max(record.transcriptions.values(), key=len)
-    logger.warning(
-        "record %d (%s): no %r text, falling back to longest transcription",
-        record.file_position,
-        record.id.raw,
-        text_source,
-    )
-    return fallback
+    available transcription when the source is absent."""
+    text = source_text(record, text_source)
+    return max(record.transcriptions.values(), key=len) if text is None else text
 
 
 def check_text_source(corpus: Corpus, text_source: str) -> None:

@@ -384,7 +384,7 @@ def read_objects(path: str | Path) -> list[dict]:
         try:
             objects.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise SchemaError(len(objects), None, f"line {lineno} is not valid JSON: {exc}") from exc
+            raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
     return objects
 
 

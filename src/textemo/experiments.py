@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .context import build_context, check_text_source, format_context, resolve_text
+from .context import build_context, check_text_source, format_context, resolve_text, source_text
 from .corpus import Corpus, UtteranceRecord, read_json
 from .llm import (
     DEFAULT_ENDPOINT,
@@ -130,14 +130,22 @@ class RunResult:
     predictions: list[PredictionEvent]
     failures: list[dict]
     eval_report: EvalReport | None
-    fallback_count: int
-    cache_hits: int
-    cache_misses: int
+
+    @property
+    def fallback_count(self) -> int:
+        return sum(e.fallback for e in self.predictions)
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(e.from_cache for e in self.predictions)
+
+    @property
+    def cache_misses(self) -> int:
+        return len(self.predictions) - self.cache_hits
 
     @property
     def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        return self.cache_hits / len(self.predictions) if self.predictions else 0.0
 
 
 def _predict_one(
@@ -184,6 +192,15 @@ def run_experiment(
         templates = load_templates()
     validate_spec(spec, corpus, templates)
     template = templates[spec.prompt]
+    missing = sum(source_text(rec, spec.text_source) is None for rec in corpus.records)
+    if missing:
+        logger.warning(
+            "experiment %s: %d of %d records have no %r text, falling back to their longest transcription",
+            spec.name,
+            missing,
+            len(corpus.records),
+            spec.text_source,
+        )
 
     targets = [rec for rec in corpus.records if rec.need_prediction]
     outcomes = fan_out(
@@ -200,10 +217,6 @@ def run_experiment(
             predictions.append(outcome)
             truth_pairs.append((record.emotion, outcome.prediction))
 
-    fallback_count = sum(e.fallback for e in predictions)
-    cache_hits = sum(e.from_cache for e in predictions)
-    cache_misses = len(predictions) - cache_hits
-
     eval_report: EvalReport | None = None
     if any(truth is not None for truth, _ in truth_pairs):
         try:
@@ -216,9 +229,6 @@ def run_experiment(
         predictions=predictions,
         failures=failures,
         eval_report=eval_report,
-        fallback_count=fallback_count,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
     )
 
 
@@ -250,20 +260,7 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Pat
     log_path = out / f"{name}.log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
         for event in result.predictions:
-            fh.write(
-                json.dumps(
-                    {
-                        "event": "prediction",
-                        "id": event.id,
-                        "fingerprint": event.fingerprint,
-                        "prediction": event.prediction,
-                        "from_cache": event.from_cache,
-                        "fallback": event.fallback,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"event": "prediction", **asdict(event)}, sort_keys=True) + "\n")
         fh.write(
             json.dumps(
                 {

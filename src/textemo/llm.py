@@ -3,8 +3,10 @@ response-label normalization, content-addressed caching, retry policy, and
 the request fan-out shared by every batch pass.
 
 Requests are fingerprinted by a SHA-256 over (model, prompt, temperature,
-max_tokens); the cache is a directory of JSON files named by fingerprint, so
-interrupted batch runs resume without repeating calls.
+max_tokens). The cache is one append-only JSON-lines log per directory, one
+line per stored completion, so interrupted batch runs resume without
+repeating calls. A line that does not decode is skipped and its request
+recomputed.
 
 Wire format (HTTP backend): a chat-completions POST body
 ``{"model": ..., "messages": [{"role": "user", "content": prompt}],
@@ -21,9 +23,8 @@ import logging
 import os
 import random
 import re
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
@@ -226,41 +227,40 @@ class HttpBackend:
 
 
 class CompletionCache:
-    """Directory of JSON files named by request fingerprint.
+    """Append-only log of completions, one JSON line per store, in
+    ``<directory>/completions.jsonl``.
 
-    Writes are atomic (temp file + rename), so concurrent writers of the same
-    fingerprint are idempotent.
+    The log is read once when the cache opens; a line that does not decode
+    is logged and skipped, so its request is a miss. Each store appends its
+    line in one write and updates the in-memory map, so later lookups in the
+    same process hit. Other processes see it when they next open the log.
     """
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        self.path = directory / "completions.jsonl"
+        self._entries: dict[str, Completion] = {}
+        try:
+            blob = self.path.read_bytes()
+        except FileNotFoundError:
+            return
+        for lineno, line in enumerate(blob.splitlines(), start=1):
+            try:
+                data = json.loads(line.decode("utf-8"))
+                self._entries[data["fingerprint"]] = Completion(
+                    raw_text=data["raw_text"],
+                    normalized_label=data.get("normalized_label"),
+                    from_cache=True,
+                    latency_ms=data.get("latency_ms", 0),
+                    attempt_count=data.get("attempt_count", 1),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                logger.warning("corrupt cache line %s:%d skipped: %r", self.path, lineno, exc)
 
     def load(self, fingerprint: str) -> Completion | None:
-        """The cached completion, or None on a miss.
-
-        An entry that cannot be decoded or lacks raw_text is logged and
-        treated as a miss, so the next store overwrites it.
-        """
-        path = self._path(fingerprint)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            raw_text = data["raw_text"]
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("corrupt cache entry %s treated as a miss: %r", path, exc)
-            return None
-        return Completion(
-            raw_text=raw_text,
-            normalized_label=data.get("normalized_label"),
-            from_cache=True,
-            latency_ms=data.get("latency_ms", 0),
-            attempt_count=data.get("attempt_count", 1),
-        )
+        """The cached completion, or None on a miss."""
+        return self._entries.get(fingerprint)
 
     def store(self, fingerprint: str, completion: Completion) -> None:
         payload = {
@@ -270,15 +270,9 @@ class CompletionCache:
             "latency_ms": completion.latency_ms,
             "attempt_count": completion.attempt_count,
         }
-        blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(blob)
-            os.replace(tmp, self._path(fingerprint))
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
+        self._entries[fingerprint] = replace(completion, from_cache=True)
 
 
 def complete(

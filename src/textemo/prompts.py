@@ -90,12 +90,18 @@ def parse_template_file(text: str) -> dict[str, PromptTemplate]:
 
 
 def load_templates(path: str | Path | None = None) -> dict[str, PromptTemplate]:
-    """Load templates from a file, or the shipped defaults when path is None."""
+    """Load templates from a file, or the shipped defaults when path is None.
+
+    A malformed file is a ValueError led by its path.
+    """
     if path is None:
         text = resources.files("textemo.data").joinpath(DEFAULT_TEMPLATE_RESOURCE).read_text("utf-8")
     else:
         text = read_text(path)
-    return parse_template_file(text)
+    try:
+        return parse_template_file(text)
+    except ValueError as exc:
+        raise ValueError(f"{path or DEFAULT_TEMPLATE_RESOURCE}: {exc}") from exc
 
 
 def get_template(name: str, path: str | Path | None = None) -> PromptTemplate:

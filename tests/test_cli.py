@@ -216,12 +216,17 @@ class TestRun:
             "--cache-dir", str(cache),
         ]
         assert main(argv + ["--out-dir", str(tmp_path / "cold")]) == 0
-        entry = sorted(cache.glob("*.json"))[0]
-        entry.write_text('{"raw_text": ', encoding="utf-8")
+        log = cache / "completions.jsonl"
+        first, *rest = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text('{"raw_text": \n' + "".join(rest), encoding="utf-8")
         assert main(argv + ["--out-dir", str(tmp_path / "rerun")]) == 0
         cold = (tmp_path / "cold" / "demo.predictions.json").read_bytes()
         assert (tmp_path / "rerun" / "demo.predictions.json").read_bytes() == cold
-        assert json.loads(entry.read_text(encoding="utf-8"))["raw_text"]
+        events = (tmp_path / "rerun" / "demo.log.jsonl").read_text(encoding="utf-8").splitlines()[:-1]
+        recomputed = {event["fingerprint"] for event in map(json.loads, events) if not event["from_cache"]}
+        assert recomputed == {json.loads(first)["fingerprint"]}
+        assert json.loads(log.read_text(encoding="utf-8").splitlines()[-1])["fingerprint"] in recomputed
+        assert [p.name for p in cache.iterdir()] == ["completions.jsonl"]
 
 
 class TestMatrix:
@@ -440,6 +445,22 @@ class TestUnreadableInput:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert errors[0].startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("case", ["truncated-json-line", "template-preamble"])
+    def test_malformed_file_is_named(self, tmp_path, fixture_corpus, capsys, case):
+        bad = tmp_path / "bad.txt"
+        content, argv = {
+            "truncated-json-line": (b'{"id": "Ses01F_impro01_F000", "whispertiny": "hi"}\n{"id": \n', ["run", bad]),
+            "template-preamble": (
+                b"stray\n--- baseline\n{current sentence}\n",
+                ["run", fixture_corpus, "--template-file", bad],
+            ),
+        }[case]
+        bad.write_bytes(content)
+        argv += ["--text-source", "whispertiny", "--out-dir", tmp_path / "runs"]
+        assert main([str(arg) for arg in argv]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: ")
 
     def test_undecodable_template_file_is_named(self, tmp_path, fixture_corpus, capsys):
         bad = tmp_path / "templates.txt"

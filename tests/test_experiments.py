@@ -16,6 +16,8 @@ from textemo.experiments import (
 from textemo.fixtures import generate_corpus
 from textemo.llm import CompletionCache, MockBackend, RetryPolicy, TransportError
 
+from conftest import make_entry
+
 
 @pytest.fixture
 def small_corpus():
@@ -70,6 +72,19 @@ class TestRunExperiment:
         assert cold.cache_hits == 0
         assert warm.cache_misses == 0
         assert warm.cache_hit_rate == 1.0
+
+    def test_missing_text_source_warns_once_per_run(self, caplog):
+        objects = [
+            make_entry(f"Ses01F_impro01_F{i:03d}", need_prediction="yes", models={"hubertlarge": f"line {i}"})
+            if i % 2
+            else make_entry(f"Ses01F_impro01_F{i:03d}", need_prediction="yes")
+            for i in range(40)
+        ]
+        with caplog.at_level("WARNING"):
+            run_experiment(mock_spec(context_length=10), build_corpus(objects), MockBackend(seed=0))
+        warnings = [m for m in caplog.messages if "falling back" in m]
+        assert len(warnings) == 1
+        assert "20 of 40 records have no 'whispertiny' text" in warnings[0]
 
     def test_unknown_text_source_rejected(self, small_corpus):
         with pytest.raises(ValueError, match="unknown text source"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import time
 from collections import Counter
 
@@ -123,6 +124,10 @@ class TestMockBackend:
             assert 0.20 <= count / 4000 <= 0.30, label
 
 
+# What an interrupted store leaves: the start of a line, without its newline.
+TORN_LINE = f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": "ha'
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = CompletionCache(tmp_path / "cache")
@@ -157,24 +162,70 @@ class TestCache:
         answer = complete(request, MockBackend(responses={request.fingerprint: "angry"}), cache=cache)
         assert answer.raw_text == "happy"
 
-    @pytest.mark.parametrize("blob", ['{"raw_text": ', '{"normalized_label": "sad"}', "[1, 2]", "\udcff"])
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            '{"raw_text": ',
+            '{"normalized_label": "sad"}',
+            "[1, 2]",
+            "\udcff",
+            pytest.param('"sad"', id="bare-string"),
+            pytest.param("7", id="bare-number"),
+            pytest.param(f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": "sad\udcff"}}', id="entry-not-utf8"),
+            pytest.param(TORN_LINE, id="torn-last-line"),
+        ],
+    )
     def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, caplog, blob):
-        cache = CompletionCache(tmp_path)
         request = fixture_request()
-        (tmp_path / f"{request.fingerprint}.json").write_text(blob, encoding="utf-8", errors="surrogateescape")
+        backend = MockBackend(responses={request.fingerprint: "sad"})
+        torn = blob == TORN_LINE
+        line = blob if torn else blob + "\n"
+        (tmp_path / "completions.jsonl").write_bytes(line.encode("utf-8", errors="surrogateescape"))
         with caplog.at_level("WARNING"):
-            assert cache.load(request.fingerprint) is None
-        assert any("corrupt cache entry" in message for message in caplog.messages)
-        first = complete(request, MockBackend(responses={request.fingerprint: "sad"}), cache=cache)
-        assert first.from_cache is False
+            cache = CompletionCache(tmp_path)
+        assert any("corrupt cache line" in message for message in caplog.messages)
+        assert cache.load(request.fingerprint) is None
+        assert complete(request, backend, cache=cache).from_cache is False
         assert cache.load(request.fingerprint).raw_text == "sad"
+        # A store after a torn line lands on that line, so the next open
+        # misses that one entry once more and stores it on a line of its own.
+        assert complete(request, backend, cache=CompletionCache(tmp_path)).from_cache is not torn
+        assert CompletionCache(tmp_path).load(request.fingerprint).raw_text == "sad"
 
     def test_store_writes_only_the_entry_files(self, tmp_path):
         cache = CompletionCache(tmp_path)
         completion = Completion(raw_text="x", normalized_label=None, from_cache=False, latency_ms=0, attempt_count=1)
         cache.store("aa" * 32, completion)
         cache.store("bb" * 32, completion)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["aa" * 32 + ".json", "bb" * 32 + ".json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["completions.jsonl"]
+        lines = (tmp_path / "completions.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["fingerprint"] for line in lines] == ["aa" * 32, "bb" * 32]
+
+    def test_caches_sharing_a_directory_append_to_one_log(self, tmp_path):
+        first, second = CompletionCache(tmp_path), CompletionCache(tmp_path)
+        first.store("aa" * 32, Completion("happy", "happy", from_cache=False, latency_ms=1, attempt_count=1))
+        second.store("bb" * 32, Completion("sad", "sad", from_cache=False, latency_ms=1, attempt_count=1))
+        assert second.load("aa" * 32) is None  # the log is read only when a cache opens
+        third = CompletionCache(tmp_path)
+        assert (third.load("aa" * 32).raw_text, third.load("bb" * 32).raw_text) == ("happy", "sad")
+
+    def test_concurrent_stores_keep_every_line(self, tmp_path, caplog):
+        cache = CompletionCache(tmp_path)
+        requests = [fixture_request(f"prompt {n} " + "x" * n * 50) for n in range(200)]
+        fan_out(lambda request: complete(request, MockBackend(), cache=cache), requests, concurrency=4)
+        with caplog.at_level("WARNING"):
+            reopened = CompletionCache(tmp_path)
+        assert not caplog.messages
+        assert all(reopened.load(request.fingerprint) is not None for request in requests)
+
+    def test_leftover_entry_file_is_ignored(self, tmp_path):
+        request = fixture_request()
+        leftover = tmp_path / f"{request.fingerprint}.json"
+        leftover.write_text(json.dumps({"fingerprint": request.fingerprint, "raw_text": "happy"}), encoding="utf-8")
+        cache = CompletionCache(tmp_path)
+        assert cache.load(request.fingerprint) is None
+        assert complete(request, MockBackend(responses={request.fingerprint: "sad"}), cache=cache).raw_text == "sad"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["completions.jsonl", leftover.name])
 
 
 class TestFanOut:
