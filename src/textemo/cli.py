@@ -24,7 +24,7 @@ from pathlib import Path
 # process per row, and start-up is most of each one's time.
 from . import corpus as corpus_mod
 from . import metrics
-from .llm import DEFAULT_ENDPOINT, AuthError, Backend, BackendError, CompletionCache, HttpBackend, MockBackend, fan_out
+from .llm import DEFAULT_ENDPOINT, AuthError, BackendError, CompletionCache, fan_out, make_backend
 
 logger = logging.getLogger(__name__)
 
@@ -32,10 +32,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_IO = 2
 EXIT_BACKEND = 3
-
-
-def _make_backend(args: argparse.Namespace) -> Backend:
-    return MockBackend(seed=args.mock_seed) if args.backend == "mock" else HttpBackend(endpoint=args.endpoint)
 
 
 def _make_cache(args: argparse.Namespace) -> CompletionCache | None:
@@ -92,7 +88,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         selector="llm" if args.selector == "llm" else "longest_only",
         model_priority=args.model_priority.split(",") if args.model_priority else [],
     )
-    backend = _make_backend(args) if cfg.selector == "llm" else None
+    backend = make_backend(args.backend, args.mock_seed, args.endpoint) if cfg.selector == "llm" else None
     cache = _make_cache(args)
 
     outcomes = fan_out(
@@ -135,7 +131,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(
         spec,
         corpus,
-        _make_backend(args),
+        make_backend(args.backend, args.mock_seed, args.endpoint),
         cache=_make_cache(args),
         templates=load_templates(args.template_file),
         concurrency=args.concurrency,

@@ -22,15 +22,15 @@ from .context import build_context, check_text_source, format_context, resolve_t
 from .corpus import Corpus, UtteranceRecord, read_json
 from .llm import (
     DEFAULT_ENDPOINT,
+    DEFAULT_RETRY,
     Backend,
     BackendError,
     CompletionCache,
     CompletionRequest,
-    HttpBackend,
-    MockBackend,
     RetryPolicy,
     complete,
     fan_out,
+    make_backend,
 )
 from .metrics import EVAL_LABELS, EmptyInput, EvalReport, evaluate
 from .prompts import PromptTemplate, load_templates, render
@@ -155,7 +155,7 @@ def _predict_one(
     template: PromptTemplate,
     backend: Backend,
     cache: CompletionCache | None,
-    retry: RetryPolicy | None,
+    retry: RetryPolicy,
 ) -> PredictionEvent:
     window = build_context(
         corpus, record.file_position, mode=spec.context_mode, length=spec.context_length, text_source=spec.text_source
@@ -179,7 +179,7 @@ def run_experiment(
     corpus: Corpus,
     backend: Backend,
     cache: CompletionCache | None = None,
-    retry: RetryPolicy | None = None,
+    retry: RetryPolicy = DEFAULT_RETRY,
     templates: Mapping[str, PromptTemplate] | None = None,
     concurrency: int = 4,
     ua_definition: str = "macro-recall",
@@ -291,7 +291,6 @@ def run_matrix(
     corpus: Corpus,
     cache: CompletionCache | None = None,
     out_dir: str | Path | None = None,
-    retry: RetryPolicy | None = None,
     template_file: str | Path | None = None,
     concurrency: int = 4,
     mock_seed: int = 0,
@@ -311,13 +310,12 @@ def run_matrix(
     rows: list[dict] = []
     for spec in specs:
         try:
-            backend = MockBackend(seed=mock_seed) if spec.backend == "mock" else HttpBackend(endpoint=endpoint)
+            backend = make_backend(spec.backend, mock_seed, endpoint)
             result = run_experiment(
                 spec,
                 corpus,
                 backend,
                 cache=cache,
-                retry=retry,
                 templates=templates,
                 concurrency=concurrency,
                 ua_definition=ua_definition,

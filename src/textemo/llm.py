@@ -3,10 +3,11 @@ response-label normalization, content-addressed caching, retry policy, and
 the request fan-out shared by every batch pass.
 
 Requests are fingerprinted by a SHA-256 over (model, prompt, temperature,
-max_tokens). The cache is one append-only JSON-lines log per directory, one
-line per stored completion, so interrupted batch runs resume without
-repeating calls. A line that does not decode is skipped and its request
-recomputed.
+max_tokens). The cache is one append-only JSON-lines log per directory that
+maps each fingerprint to the backend's raw response text, so interrupted
+batch runs resume without repeating calls. The label is derived from the raw
+text on every lookup, hit or miss. A line that does not decode, or whose
+``raw_text`` is not a string, is skipped and its request recomputed.
 
 Wire format (HTTP backend): a chat-completions POST body
 ``{"model": ..., "messages": [{"role": "user", "content": prompt}],
@@ -24,7 +25,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
@@ -108,8 +109,6 @@ class Completion:
     raw_text: str
     normalized_label: str | None
     from_cache: bool
-    latency_ms: int
-    attempt_count: int
 
 
 class Backend(Protocol):
@@ -130,7 +129,7 @@ def normalize_label(raw: str) -> str | None:
     return match.group(1) if match else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with full jitter: uniform(0, base * factor**n)."""
 
@@ -138,10 +137,12 @@ class RetryPolicy:
     base: float = 1.0
     factor: float = 2.0
     sleep: Callable[[float], None] = time.sleep
-    rng: random.Random = field(default_factory=random.Random)
 
     def delay(self, attempt: int) -> float:
-        return self.rng.uniform(0.0, self.base * self.factor ** (attempt - 1))
+        return random.uniform(0.0, self.base * self.factor ** (attempt - 1))
+
+
+DEFAULT_RETRY = RetryPolicy()
 
 
 class MockBackend:
@@ -202,7 +203,6 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        fp = request.fingerprint
         try:
             resp = self.session.post(
                 self.endpoint,
@@ -211,36 +211,43 @@ class HttpBackend:
                 timeout=self.timeout,
             )
         except requests.RequestException as exc:
-            raise TransportError(f"request failed: {exc}", fp) from exc
+            raise TransportError(f"request failed: {exc}", request.fingerprint) from exc
         if resp.status_code in (401, 403):
-            raise AuthError(f"authentication rejected (HTTP {resp.status_code})", fp)
+            raise AuthError(f"authentication rejected (HTTP {resp.status_code})", request.fingerprint)
         if resp.status_code == 429:
-            raise RateLimited("rate limited (HTTP 429)", fp)
+            raise RateLimited("rate limited (HTTP 429)", request.fingerprint)
         if 400 <= resp.status_code < 500 and resp.status_code != 408:
-            raise BadRequest(f"request rejected (HTTP {resp.status_code}): {resp.text[:200]}", fp)
+            raise BadRequest(f"request rejected (HTTP {resp.status_code}): {resp.text[:200]}", request.fingerprint)
         if resp.status_code != 200:
-            raise TransportError(f"unexpected HTTP {resp.status_code}: {resp.text[:200]}", fp)
+            raise TransportError(f"unexpected HTTP {resp.status_code}: {resp.text[:200]}", request.fingerprint)
         try:
             return resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed response body: {exc}", fp) from exc
+            raise TransportError(f"malformed response body: {exc}", request.fingerprint) from exc
+
+
+def make_backend(kind: str, mock_seed: int, endpoint: str) -> Backend:
+    """The backend named by ``kind``: "mock" or "http"."""
+    return MockBackend(seed=mock_seed) if kind == "mock" else HttpBackend(endpoint=endpoint)
 
 
 class CompletionCache:
-    """Append-only log of completions, one JSON line per store, in
-    ``<directory>/completions.jsonl``.
+    """Persisted map of request fingerprint -> raw response text: an
+    append-only log in ``<directory>/completions.jsonl``, one
+    ``{"fingerprint": …, "raw_text": …}`` line per store.
 
-    The log is read once when the cache opens; a line that does not decode
-    is logged and skipped, so its request is a miss. Each store appends its
-    line in one write and updates the in-memory map, so later lookups in the
-    same process hit. Other processes see it when they next open the log.
+    The log is read once when the cache opens; a line that does not decode,
+    or whose ``raw_text`` is not a string, is logged and skipped, so its
+    request is a miss. Other keys on a line are ignored. Each store appends
+    its line in one write and updates the in-memory map, so later lookups in
+    the same process hit. Other processes see it when they next open the log.
     """
 
     def __init__(self, directory: str | Path):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / "completions.jsonl"
-        self._entries: dict[str, Completion] = {}
+        self._entries: dict[str, str] = {}
         try:
             blob = self.path.read_bytes()
         except FileNotFoundError:
@@ -248,54 +255,44 @@ class CompletionCache:
         for lineno, line in enumerate(blob.splitlines(), start=1):
             try:
                 data = json.loads(line.decode("utf-8"))
-                self._entries[data["fingerprint"]] = Completion(
-                    raw_text=data["raw_text"],
-                    normalized_label=data.get("normalized_label"),
-                    from_cache=True,
-                    latency_ms=data.get("latency_ms", 0),
-                    attempt_count=data.get("attempt_count", 1),
-                )
+                raw_text = data["raw_text"]
+                if not isinstance(raw_text, str):
+                    raise TypeError(f"raw_text is {type(raw_text).__name__}, not str")
+                self._entries[data["fingerprint"]] = raw_text
             except (ValueError, KeyError, TypeError) as exc:
                 logger.warning("corrupt cache line %s:%d skipped: %r", self.path, lineno, exc)
 
-    def load(self, fingerprint: str) -> Completion | None:
-        """The cached completion, or None on a miss."""
+    def load(self, fingerprint: str) -> str | None:
+        """The cached raw text, or None on a miss."""
         return self._entries.get(fingerprint)
 
-    def store(self, fingerprint: str, completion: Completion) -> None:
-        payload = {
-            "fingerprint": fingerprint,
-            "raw_text": completion.raw_text,
-            "normalized_label": completion.normalized_label,
-            "latency_ms": completion.latency_ms,
-            "attempt_count": completion.attempt_count,
-        }
+    def store(self, fingerprint: str, raw_text: str) -> None:
+        line = json.dumps({"fingerprint": fingerprint, "raw_text": raw_text}, ensure_ascii=False, sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
-        self._entries[fingerprint] = replace(completion, from_cache=True)
+            fh.write(line + "\n")
+        self._entries[fingerprint] = raw_text
 
 
 def complete(
     request: CompletionRequest,
     backend: Backend,
     cache: CompletionCache | None = None,
-    retry: RetryPolicy | None = None,
+    retry: RetryPolicy = DEFAULT_RETRY,
 ) -> Completion:
     """Resolve a request through the cache, then the backend with retries.
 
     AuthError and BadRequest propagate after one attempt; RateLimited and
     other TransportErrors are retried with exponential backoff and raise
-    BackendExhausted once the attempt budget is spent. Successful
-    completions are cached before return.
+    BackendExhausted once the attempt budget is spent. Successful responses
+    are cached before return. The label is normalized from the raw text on a
+    hit and on a miss alike.
     """
     fp = request.fingerprint
     if cache is not None:
-        cached = cache.load(fp)
-        if cached is not None:
-            return cached
+        raw = cache.load(fp)
+        if raw is not None:
+            return Completion(raw_text=raw, normalized_label=normalize_label(raw), from_cache=True)
 
-    retry = retry or RetryPolicy()
-    start = time.monotonic()
     last_error: BackendError | None = None
     for attempt in range(1, retry.attempts + 1):
         try:
@@ -308,16 +305,9 @@ def complete(
             if attempt < retry.attempts:
                 retry.sleep(retry.delay(attempt))
             continue
-        completion = Completion(
-            raw_text=raw,
-            normalized_label=normalize_label(raw),
-            from_cache=False,
-            latency_ms=int((time.monotonic() - start) * 1000),
-            attempt_count=attempt,
-        )
         if cache is not None:
-            cache.store(fp, completion)
-        return completion
+            cache.store(fp, raw)
+        return Completion(raw_text=raw, normalized_label=normalize_label(raw), from_cache=False)
     raise BackendExhausted(f"gave up after {retry.attempts} attempts: {last_error}", fp)
 
 

@@ -4,8 +4,8 @@ the best survivor.
 The selector is either an LLM asked to choose the most coherent candidate, or
 a deterministic longest-text rule. The LLM may only select, never rewrite: its
 response is matched against the candidate set and any non-matching response
-falls back to the longest candidate. The chosen text is written to the
-record's "ensemble" field.
+falls back to the longest candidate. `refine` writes the chosen text to the
+record's "ensemble" field in its output file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .corpus import UtteranceRecord
-from .llm import Backend, CompletionCache, CompletionRequest, RetryPolicy, complete
+from .llm import Backend, CompletionCache, CompletionRequest, complete
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,6 @@ class RefinementOutcome:
 
     chosen: str
     chosen_source: str
-    candidates_kept: list[tuple[str, str]]
     llm_raw: str | None = None
 
 
@@ -106,11 +105,10 @@ def refine_record(
     cfg: RefinementConfig,
     backend: Backend | None = None,
     cache: CompletionCache | None = None,
-    retry: RetryPolicy | None = None,
     llm_model: str = "gpt-3.5-turbo",
 ) -> RefinementOutcome:
-    """Filter the record's transcriptions, select one, and write it to
-    record.ensemble.
+    """Filter the record's transcriptions and select one; the record is not
+    modified.
 
     With the llm selector, a response that matches a candidate (after trim
     and case-fold) is chosen; anything else falls back to the longest
@@ -134,7 +132,7 @@ def refine_record(
             temperature=0.0,
             max_tokens=128,
         )
-        completion = complete(request, backend, cache=cache, retry=retry)
+        completion = complete(request, backend, cache=cache)
         llm_raw = completion.raw_text
         wanted = llm_raw.strip().casefold()
         for model, text in candidates:
@@ -146,10 +144,4 @@ def refine_record(
     if chosen is None:
         chosen = select_longest(candidates, cfg)
 
-    record.ensemble = chosen[1]
-    return RefinementOutcome(
-        chosen=chosen[1],
-        chosen_source=source,
-        candidates_kept=candidates,
-        llm_raw=llm_raw,
-    )
+    return RefinementOutcome(chosen=chosen[1], chosen_source=source, llm_raw=llm_raw)

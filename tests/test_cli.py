@@ -130,6 +130,21 @@ class TestRefine:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_non_string_cached_raw_text_is_recomputed(self, tmp_path, fixture_corpus):
+        cache = tmp_path / "cache"
+        argv = ["refine", "--in", str(fixture_corpus), "--selector", "llm", "--backend", "mock"]
+        argv += ["--cache-dir", str(cache)]
+        assert main(argv + ["--out", str(tmp_path / "cold.json")]) == 0
+        log = cache / "completions.jsonl"
+        first, *rest = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        fingerprint = json.loads(first)["fingerprint"]
+        corrupt = json.dumps({"fingerprint": fingerprint, "raw_text": 5})
+        log.write_text(corrupt + "\n" + "".join(rest), encoding="utf-8")
+        assert main(argv + ["--out", str(tmp_path / "rerun.json")]) == 0
+        assert (tmp_path / "rerun.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+        appended = log.read_text(encoding="utf-8").splitlines()[len(rest) + 1 :]
+        assert [json.loads(line) for line in appended] == [json.loads(first)]
+
     def test_zero_min_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
         argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--min-length", "0"]
         assert main(argv) == 1
@@ -227,6 +242,30 @@ class TestRun:
         assert recomputed == {json.loads(first)["fingerprint"]}
         assert json.loads(log.read_text(encoding="utf-8").splitlines()[-1])["fingerprint"] in recomputed
         assert [p.name for p in cache.iterdir()] == ["completions.jsonl"]
+
+    def test_stored_label_is_ignored_on_a_hit(self, tmp_path, fixture_corpus):
+        # lines in the older five-key layout, each carrying a label that its raw text does not say
+        cache = tmp_path / "cache"
+        argv = [
+            "run",
+            str(fixture_corpus),
+            "--name", "demo",
+            "--text-source", "whispertiny",
+            "--backend", "mock",
+            "--cache-dir", str(cache),
+        ]
+        assert main(argv + ["--out-dir", str(tmp_path / "cold")]) == 0
+        log = cache / "completions.jsonl"
+        lines = [
+            {**json.loads(line), "normalized_label": "joy", "latency_ms": 7, "attempt_count": 1}
+            for line in log.read_text(encoding="utf-8").splitlines()
+        ]
+        log.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), encoding="utf-8")
+        assert main(argv + ["--out-dir", str(tmp_path / "warm")]) == 0
+        cold = (tmp_path / "cold" / "demo.predictions.json").read_bytes()
+        assert (tmp_path / "warm" / "demo.predictions.json").read_bytes() == cold
+        summary = json.loads((tmp_path / "warm" / "demo.log.jsonl").read_text(encoding="utf-8").splitlines()[-1])
+        assert summary["cache_hit_rate"] == 1.0
 
 
 class TestMatrix:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from collections import Counter
 
@@ -11,7 +12,6 @@ from textemo.llm import (
     AuthError,
     BackendExhausted,
     BadRequest,
-    Completion,
     CompletionCache,
     CompletionRequest,
     MockBackend,
@@ -131,16 +131,9 @@ TORN_LINE = f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": "ha'
 class TestCache:
     def test_round_trip(self, tmp_path):
         cache = CompletionCache(tmp_path / "cache")
-        completion = Completion(
-            raw_text="Sad.", normalized_label="sad", from_cache=False, latency_ms=12, attempt_count=2
-        )
-        cache.store("ab" * 32, completion)
-        loaded = cache.load("ab" * 32)
-        assert loaded.raw_text == completion.raw_text
-        assert loaded.normalized_label == completion.normalized_label
-        assert loaded.latency_ms == completion.latency_ms
-        assert loaded.attempt_count == completion.attempt_count
-        assert loaded.from_cache is True
+        cache.store("ab" * 32, "Sad.")
+        assert cache.load("ab" * 32) == "Sad."
+        assert CompletionCache(tmp_path / "cache").load("ab" * 32) == "Sad."
 
     def test_miss_returns_none(self, tmp_path):
         assert CompletionCache(tmp_path).load("00" * 32) is None
@@ -172,6 +165,9 @@ class TestCache:
             pytest.param('"sad"', id="bare-string"),
             pytest.param("7", id="bare-number"),
             pytest.param(f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": "sad\udcff"}}', id="entry-not-utf8"),
+            pytest.param(f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": 5}}', id="raw-text-number"),
+            pytest.param(f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": null}}', id="raw-text-null"),
+            pytest.param(f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": ["sad"]}}', id="raw-text-list"),
             pytest.param(TORN_LINE, id="torn-last-line"),
         ],
     )
@@ -186,28 +182,44 @@ class TestCache:
         assert any("corrupt cache line" in message for message in caplog.messages)
         assert cache.load(request.fingerprint) is None
         assert complete(request, backend, cache=cache).from_cache is False
-        assert cache.load(request.fingerprint).raw_text == "sad"
+        assert cache.load(request.fingerprint) == "sad"
         # A store after a torn line lands on that line, so the next open
         # misses that one entry once more and stores it on a line of its own.
         assert complete(request, backend, cache=CompletionCache(tmp_path)).from_cache is not torn
-        assert CompletionCache(tmp_path).load(request.fingerprint).raw_text == "sad"
+        assert CompletionCache(tmp_path).load(request.fingerprint) == "sad"
+
+    def test_parent_format_line_is_a_hit_with_a_derived_label(self, tmp_path):
+        request = fixture_request()
+        line = {
+            "attempt_count": 1,
+            "fingerprint": request.fingerprint,
+            "latency_ms": 3,
+            "normalized_label": "joy",
+            "raw_text": "Sad.",
+        }
+        (tmp_path / "completions.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
+        backend = MockBackend(responses={request.fingerprint: "angry"})
+        completion = complete(request, backend, cache=CompletionCache(tmp_path))
+        assert (completion.raw_text, completion.normalized_label, completion.from_cache) == ("Sad.", "sad", True)
 
     def test_store_writes_only_the_entry_files(self, tmp_path):
         cache = CompletionCache(tmp_path)
-        completion = Completion(raw_text="x", normalized_label=None, from_cache=False, latency_ms=0, attempt_count=1)
-        cache.store("aa" * 32, completion)
-        cache.store("bb" * 32, completion)
+        cache.store("aa" * 32, "x")
+        cache.store("bb" * 32, "x")
         assert [p.name for p in tmp_path.iterdir()] == ["completions.jsonl"]
         lines = (tmp_path / "completions.jsonl").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["fingerprint"] for line in lines] == ["aa" * 32, "bb" * 32]
+        assert [json.loads(line) for line in lines] == [
+            {"fingerprint": "aa" * 32, "raw_text": "x"},
+            {"fingerprint": "bb" * 32, "raw_text": "x"},
+        ]
 
     def test_caches_sharing_a_directory_append_to_one_log(self, tmp_path):
         first, second = CompletionCache(tmp_path), CompletionCache(tmp_path)
-        first.store("aa" * 32, Completion("happy", "happy", from_cache=False, latency_ms=1, attempt_count=1))
-        second.store("bb" * 32, Completion("sad", "sad", from_cache=False, latency_ms=1, attempt_count=1))
+        first.store("aa" * 32, "happy")
+        second.store("bb" * 32, "sad")
         assert second.load("aa" * 32) is None  # the log is read only when a cache opens
         third = CompletionCache(tmp_path)
-        assert (third.load("aa" * 32).raw_text, third.load("bb" * 32).raw_text) == ("happy", "sad")
+        assert (third.load("aa" * 32), third.load("bb" * 32)) == ("happy", "sad")
 
     def test_concurrent_stores_keep_every_line(self, tmp_path, caplog):
         cache = CompletionCache(tmp_path)
@@ -275,7 +287,6 @@ class TestRetry:
         backend = FlakyBackend(failures=2)
         completion = complete(fixture_request(), backend, retry=no_sleep_policy())
         assert completion.raw_text == "sad"
-        assert completion.attempt_count == 3
         assert backend.calls == 3
 
     def test_exhaustion_after_max_attempts(self):
@@ -299,6 +310,19 @@ class TestRetry:
         assert len(sleeps) == 4  # no sleep after the final attempt
         for n, delay in enumerate(sleeps, start=1):
             assert 0.0 <= delay <= 1.0 * 2.0 ** (n - 1)
+
+    def test_default_policy_seeds_no_generator(self, monkeypatch):
+        seeds = []
+        real_seed = random.Random.seed
+
+        def counted_seed(self, *args, **kwargs):
+            seeds.append(args)
+            return real_seed(self, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", counted_seed)
+        completion = complete(fixture_request(), FlakyBackend(failures=0))
+        assert completion.raw_text == "sad"
+        assert seeds == []
 
     def test_exhaustion_names_fingerprint_in_message(self):
         backend = FlakyBackend(failures=99)

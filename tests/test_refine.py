@@ -117,7 +117,6 @@ class TestRefineRecord:
         outcome = refine_record(sample_record, cfg, backend=backend)
         assert outcome.chosen == candidates[0][1]
         assert outcome.chosen_source == SOURCE_LLM
-        assert sample_record.ensemble == outcome.chosen
 
     def test_llm_match_modulo_trim_and_case(self, sample_record):
         cfg = RefinementConfig(selector="llm")
