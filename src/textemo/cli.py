@@ -5,15 +5,15 @@ evaluate, plus gen-fixture for synthetic test corpora.
 
 Exit codes: 0 success; 1 invalid input (corpus, predictions, config,
 templates or option values, printed as ``error: …``), a schema violation
-found by validate, or a failed matrix row; 2 I/O error; 3 authentication
-failure or requests that failed after retries. Commands raise, and `main`
-alone maps exceptions to exit codes.
+found by validate, or a failed matrix row; 2 I/O error, or a command line
+that argparse rejects; 3 authentication failure or requests that failed
+after retries. Commands raise, and `main` alone maps exceptions to exit
+codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from collections import Counter
@@ -24,7 +24,17 @@ from pathlib import Path
 # process per row, and start-up is most of each one's time.
 from . import corpus as corpus_mod
 from . import metrics
-from .llm import DEFAULT_ENDPOINT, AuthError, BackendError, CompletionCache, fan_out, make_backend
+from .llm import (
+    BACKEND_KINDS,
+    BACKEND_MOCK,
+    DEFAULT_ENDPOINT,
+    DEFAULT_MODEL,
+    AuthError,
+    BackendError,
+    CompletionCache,
+    fan_out,
+    make_backend,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +49,8 @@ def _make_cache(args: argparse.Namespace) -> CompletionCache | None:
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=["http", "mock"], default="mock")
-    parser.add_argument("--model", default="gpt-3.5-turbo", help="annotator model name")
+    parser.add_argument("--backend", choices=BACKEND_KINDS, default=BACKEND_MOCK)
+    parser.add_argument("--model", default=DEFAULT_MODEL, help="annotator model name")
     _add_request_args(parser)
 
 
@@ -49,6 +59,10 @@ def _add_request_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, help="completion cache directory")
     parser.add_argument("--concurrency", type=int, default=4)
     parser.add_argument("--mock-seed", type=int, default=0)
+
+
+def _add_ua_definition_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ua-definition", choices=metrics.UA_DEFINITIONS, default=metrics.UA_MACRO_RECALL)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -102,11 +116,9 @@ def cmd_refine(args: argparse.Namespace) -> int:
             logger.error("record %s left unrefined: %s", record.id.raw, outcome)
             unrefined.append(record.id.raw)
         else:
-            obj["ensemble"] = outcome.chosen
+            obj[corpus_mod.ENSEMBLE_KEY] = outcome.chosen
 
-    Path(args.outfile).write_text(
-        json.dumps(objects, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    corpus_mod.write_corpus(objects, args.outfile)
     refined = len(corpus.records) - len(unrefined)
     print(f"refined {refined}/{len(corpus.records)} record(s) -> {args.outfile}")
     if unrefined:
@@ -170,8 +182,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if args.out_dir:
         # when every row failed, nothing has created the directory yet
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        summary = Path(args.out_dir) / "matrix.json"
-        summary.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        summary = corpus_mod.write_json(Path(args.out_dir) / "matrix.json", rows)
         print(f"wrote {summary}")
     failed = [row["name"] for row in rows if "error" in row]
     if failed:
@@ -203,7 +214,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = metrics.evaluate(pairs, ua_definition=args.ua_definition)
     print(report.format_table())
     if args.eval_out:
-        Path(args.eval_out).write_text(report.to_json() + "\n", encoding="utf-8")
+        corpus_mod.write_json(args.eval_out, report.to_dict())
         print(f"wrote {args.eval_out}")
     return EXIT_OK
 
@@ -236,7 +247,7 @@ def cmd_gen_fixture(args: argparse.Namespace) -> int:
         need_prediction_rate=args.need_prediction_rate,
         short_rate=args.short_rate,
     )
-    fixtures.write_corpus(objects, args.out)
+    corpus_mod.write_corpus(objects, args.out)
     print(f"wrote {len(objects)} record(s) to {args.out}")
     return EXIT_OK
 
@@ -274,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", default="baseline")
     p.add_argument("--template-file", default=None)
     p.add_argument("--context-length", type=int, default=3)
-    p.add_argument("--context-mode", choices=["session", "script"], default="session")
+    p.add_argument("--context-mode", choices=corpus_mod.CONTEXT_MODES, default=corpus_mod.MODE_SESSION)
     p.add_argument("--out-dir", default="runs")
-    p.add_argument("--ua-definition", choices=["macro-recall", "micro"], default="macro-recall")
+    _add_ua_definition_arg(p)
     p.add_argument("--strict", action="store_true")
     _add_backend_args(p)
     p.set_defaults(func=cmd_run)
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="experiments JSON (default: shipped matrix)")
     p.add_argument("--template-file", default=None)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--ua-definition", choices=["macro-recall", "micro"], default="macro-recall")
+    _add_ua_definition_arg(p)
     p.add_argument("--strict", action="store_true")
     _add_request_args(p)
     p.set_defaults(func=cmd_matrix)
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a predictions file against corpus labels")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ua-definition", choices=["macro-recall", "micro"], default="macro-recall")
+    _add_ua_definition_arg(p)
     p.add_argument("--eval-out", default=None)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_evaluate)

@@ -12,13 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .corpus import Corpus, UtteranceRecord
+from .corpus import CONTEXT_MODES, ENSEMBLE_KEY, MODE_SCRIPT, Corpus, UtteranceRecord
 
-ENSEMBLE_SOURCE = "ensemble"
 EMPTY_CONTEXT = "(no prior context)"
-
-MODE_SESSION = "session"
-MODE_SCRIPT = "script"
 
 
 class UnknownTextSource(ValueError):
@@ -34,14 +30,12 @@ class ContextWindow:
     """Preceding (speaker, text) pairs in conversation order, oldest first."""
 
     items: list[tuple[str, str]]
-    mode: str
-    requested_length: int
     truncated_by_boundary: bool
 
 
 def source_text(record: UtteranceRecord, text_source: str) -> str | None:
     """Record text under the requested source, or None when the record lacks it."""
-    return record.ensemble if text_source == ENSEMBLE_SOURCE else record.transcriptions.get(text_source)
+    return record.ensemble if text_source == ENSEMBLE_KEY else record.transcriptions.get(text_source)
 
 
 def resolve_text(record: UtteranceRecord, text_source: str) -> str:
@@ -53,7 +47,7 @@ def resolve_text(record: UtteranceRecord, text_source: str) -> str:
 
 def check_text_source(corpus: Corpus, text_source: str) -> None:
     """Raise UnknownTextSource unless text_source is 'ensemble' or an ASR model of the corpus."""
-    if text_source != ENSEMBLE_SOURCE and text_source not in corpus.model_names:
+    if text_source != ENSEMBLE_KEY and text_source not in corpus.model_names:
         raise UnknownTextSource(f"unknown text source {text_source!r}: not 'ensemble' or an ASR model in the corpus")
 
 
@@ -62,7 +56,7 @@ def build_context(
     target: int,
     mode: str = MODE_SCRIPT,
     length: int = 3,
-    text_source: str = ENSEMBLE_SOURCE,
+    text_source: str = ENSEMBLE_KEY,
 ) -> ContextWindow:
     """Window of up to `length` utterances preceding `target` in file order.
 
@@ -72,7 +66,7 @@ def build_context(
     truncated_by_boundary is set when the group, not the length budget or
     the start of the corpus, capped the window.
     """
-    if mode not in (MODE_SESSION, MODE_SCRIPT):
+    if mode not in CONTEXT_MODES:
         raise ValueError(f"unknown context mode {mode!r}")
     if length < 1:
         raise ValueError("context length must be >= 1")
@@ -87,12 +81,7 @@ def build_context(
 
     truncated = len(window) < length and target > len(window)
     items = [(rec.speaker, resolve_text(rec, text_source)) for rec in window]
-    return ContextWindow(
-        items=items,
-        mode=mode,
-        requested_length=length,
-        truncated_by_boundary=truncated,
-    )
+    return ContextWindow(items=items, truncated_by_boundary=truncated)
 
 
 def format_context(window: ContextWindow) -> str:

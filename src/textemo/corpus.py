@@ -1,4 +1,5 @@
-"""Corpus loading, utterance-ID parsing, and script/session indexing.
+"""Corpus loading, utterance-ID parsing, script/session indexing, and the
+writers of the program's JSON output files.
 
 The corpus is a JSON array (or newline-delimited JSON) of utterance objects.
 Each object carries an utterance id, speaker, optional emotion label, an
@@ -52,7 +53,13 @@ KNOWN_ASR_MODELS = frozenset(
 # Object keys that are metadata rather than ASR transcriptions.
 _RESERVED_KEYS = frozenset({"id", "speaker", "emotion", "need_prediction"})
 _GROUND_TRUTH_KEYS = ("Ground truth", "ground_truth", "groundtruth")
-_ENSEMBLE_KEY = "ensemble"
+# The refined transcription `refine` writes; also a text source name.
+ENSEMBLE_KEY = "ensemble"
+
+# Context modes: the grouping a context window is sliced from.
+MODE_SESSION = "session"
+MODE_SCRIPT = "script"
+CONTEXT_MODES = (MODE_SESSION, MODE_SCRIPT)
 
 KIND_SCRIPT = "script"
 KIND_IMPRO = "impro"
@@ -233,7 +240,7 @@ def record_from_object(obj: Mapping, position: int, strict: bool = False) -> Utt
     Keys other than id/speaker/emotion/need_prediction, the ground-truth key,
     and "ensemble" are treated as ASR-model transcriptions. In strict mode a
     transcription key outside the known model set is a SchemaError; otherwise
-    it is accepted with a warning.
+    it is accepted, and index_records warns once for the whole corpus.
     """
     if not isinstance(obj, Mapping):
         raise SchemaError(position, None, "expected a JSON object")
@@ -265,20 +272,18 @@ def record_from_object(obj: Mapping, position: int, strict: bool = False) -> Utt
             ground_truth = value
             seen_gt_key = key
 
-    ensemble = obj.get(_ENSEMBLE_KEY)
+    ensemble = obj.get(ENSEMBLE_KEY)
     if ensemble is not None and not isinstance(ensemble, str):
-        raise SchemaError(position, _ENSEMBLE_KEY, "expected a string")
+        raise SchemaError(position, ENSEMBLE_KEY, "expected a string")
 
     transcriptions: dict[str, str] = {}
     for key, value in obj.items():
-        if key in _RESERVED_KEYS or key in _GROUND_TRUTH_KEYS or key == _ENSEMBLE_KEY:
+        if key in _RESERVED_KEYS or key in _GROUND_TRUTH_KEYS or key == ENSEMBLE_KEY:
             continue
         if not isinstance(value, str):
             raise SchemaError(position, key, "transcription values must be strings")
-        if key not in KNOWN_ASR_MODELS:
-            if strict:
-                raise SchemaError(position, key, "unknown ASR model name (strict mode)")
-            logger.warning("record %d: unknown ASR model %r kept as transcription", position, key)
+        if strict and key not in KNOWN_ASR_MODELS:
+            raise SchemaError(position, key, "unknown ASR model name (strict mode)")
         transcriptions[key] = value
     if not transcriptions:
         raise SchemaError(position, None, "record has no ASR transcriptions")
@@ -331,7 +336,8 @@ def parse_records(objects: list[Mapping]) -> tuple[list[UtteranceRecord], list[s
 
 
 def index_records(records: list[UtteranceRecord]) -> Corpus:
-    """Group parsed records by script and session, warning about non-contiguous scripts."""
+    """Group parsed records by script and session, warning about non-contiguous
+    scripts and, once, about ASR model names outside the known set."""
     scripts: dict[str, list[int]] = {}
     sessions: dict[str, list[int]] = {}
     model_names: set[str] = set()
@@ -342,6 +348,15 @@ def index_records(records: list[UtteranceRecord]) -> Corpus:
     for key, positions in scripts.items():
         if positions[-1] - positions[0] + 1 != len(positions):
             logger.warning("script %s: records are non-contiguous in file order", key)
+    unknown = model_names - KNOWN_ASR_MODELS
+    if unknown:
+        carrying = sum(not KNOWN_ASR_MODELS.issuperset(rec.transcriptions) for rec in records)
+        logger.warning(
+            "unknown ASR model(s) %s kept as transcriptions in %d of %d records",
+            ", ".join(sorted(unknown)),
+            carrying,
+            len(records),
+        )
     return Corpus(records=records, scripts=scripts, sessions=sessions, model_names=frozenset(model_names))
 
 
@@ -359,6 +374,18 @@ def read_json(path: str | Path, text: str | None = None):
         return json.loads(read_text(path) if text is None else text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_json(path: str | Path, value) -> Path:
+    """Write `value` as indented JSON with sorted keys and a final newline, in UTF-8."""
+    path = Path(path)
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def write_corpus(objects: list[dict], path: str | Path) -> None:
+    """Write corpus objects as a JSON array that read_objects reads back, keys in their given order."""
+    Path(path).write_text(json.dumps(objects, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def read_objects(path: str | Path) -> list[dict]:

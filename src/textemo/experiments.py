@@ -19,9 +19,12 @@ from pathlib import Path
 from typing import Mapping
 
 from .context import build_context, check_text_source, format_context, resolve_text, source_text
-from .corpus import Corpus, UtteranceRecord, read_json
+from .corpus import CONTEXT_MODES, MODE_SESSION, Corpus, UtteranceRecord, read_json, write_json
 from .llm import (
+    BACKEND_KINDS,
+    BACKEND_MOCK,
     DEFAULT_ENDPOINT,
+    DEFAULT_MODEL,
     DEFAULT_RETRY,
     Backend,
     BackendError,
@@ -32,7 +35,7 @@ from .llm import (
     fan_out,
     make_backend,
 )
-from .metrics import EVAL_LABELS, EmptyInput, EvalReport, evaluate
+from .metrics import EVAL_LABELS, UA_MACRO_RECALL, EmptyInput, EvalReport, evaluate
 from .prompts import PromptTemplate, load_templates, render
 
 logger = logging.getLogger(__name__)
@@ -49,16 +52,16 @@ class ExperimentSpec:
     text_source: str
     prompt: str = "baseline"
     context_length: int = 3
-    context_mode: str = "session"
-    backend: str = "mock"
-    model: str = "gpt-3.5-turbo"
+    context_mode: str = MODE_SESSION
+    backend: str = BACKEND_MOCK
+    model: str = DEFAULT_MODEL
 
     def __post_init__(self) -> None:
         if self.context_length < 1:
             raise ValueError(f"experiment {self.name!r}: context_length must be >= 1")
-        if self.context_mode not in ("session", "script"):
+        if self.context_mode not in CONTEXT_MODES:
             raise ValueError(f"experiment {self.name!r}: unknown context_mode {self.context_mode!r}")
-        if self.backend not in ("mock", "http"):
+        if self.backend not in BACKEND_KINDS:
             raise ValueError(f"experiment {self.name!r}: unknown backend {self.backend!r}")
 
 
@@ -182,7 +185,7 @@ def run_experiment(
     retry: RetryPolicy = DEFAULT_RETRY,
     templates: Mapping[str, PromptTemplate] | None = None,
     concurrency: int = 4,
-    ua_definition: str = "macro-recall",
+    ua_definition: str = UA_MACRO_RECALL,
 ) -> RunResult:
     """Predict every need_prediction record and evaluate when truth exists.
 
@@ -243,19 +246,11 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Pat
     name = result.spec.name
     paths: dict[str, Path] = {}
 
-    predictions_path = out / f"{name}.predictions.json"
-    blob = json.dumps(
-        [{"id": e.id, "prediction": e.prediction} for e in result.predictions],
-        indent=2,
-        sort_keys=True,
+    paths["predictions"] = write_json(
+        out / f"{name}.predictions.json", [{"id": e.id, "prediction": e.prediction} for e in result.predictions]
     )
-    predictions_path.write_text(blob + "\n", encoding="utf-8")
-    paths["predictions"] = predictions_path
-
     if result.eval_report is not None:
-        eval_path = out / f"{name}.eval.json"
-        eval_path.write_text(result.eval_report.to_json() + "\n", encoding="utf-8")
-        paths["eval"] = eval_path
+        paths["eval"] = write_json(out / f"{name}.eval.json", result.eval_report.to_dict())
 
     log_path = out / f"{name}.log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -280,9 +275,7 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Pat
     paths["log"] = log_path
 
     if result.failures:
-        retry_path = out / f"{name}.retry.json"
-        retry_path.write_text(json.dumps(result.failures, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        paths["retry"] = retry_path
+        paths["retry"] = write_json(out / f"{name}.retry.json", result.failures)
     return paths
 
 
@@ -295,7 +288,7 @@ def run_matrix(
     concurrency: int = 4,
     mock_seed: int = 0,
     endpoint: str = DEFAULT_ENDPOINT,
-    ua_definition: str = "macro-recall",
+    ua_definition: str = UA_MACRO_RECALL,
 ) -> list[dict]:
     """Run every spec sequentially against a shared cache and one parse of
     the templates.

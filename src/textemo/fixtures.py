@@ -9,11 +9,9 @@ filter exists for), and a controllable emotion-label distribution.
 
 from __future__ import annotations
 
-import json
 import random
-from pathlib import Path
 
-from .corpus import KNOWN_ASR_MODELS
+from .corpus import KNOWN_ASR_MODELS, write_corpus  # noqa: F401 - write_corpus is re-exported for callers
 
 DEFAULT_LABEL_WEIGHTS = {
     "neutral": 0.22,
@@ -140,7 +138,3 @@ def generate_corpus(
                     obj[model] = _corrupt(rng, truth, short_rate)
                 records.append(obj)
     return records
-
-
-def write_corpus(objects: list[dict], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(objects, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -24,10 +24,12 @@ import logging
 import os
 import random
 import re
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 from .metrics import EVAL_LABELS
 
@@ -38,6 +40,11 @@ logger = logging.getLogger(__name__)
 
 # The order MockBackend indexes by hash: changing it changes every mock prediction.
 MOCK_LABEL_ORDER = ("happy", "sad", "neutral", "angry")
+
+BACKEND_HTTP = "http"
+BACKEND_MOCK = "mock"  # the default
+BACKEND_KINDS = (BACKEND_HTTP, BACKEND_MOCK)
+DEFAULT_MODEL = "gpt-3.5-turbo"
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
@@ -221,14 +228,17 @@ class HttpBackend:
         if resp.status_code != 200:
             raise TransportError(f"unexpected HTTP {resp.status_code}: {resp.text[:200]}", request.fingerprint)
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not str")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response body: {exc}", request.fingerprint) from exc
+        return content
 
 
 def make_backend(kind: str, mock_seed: int, endpoint: str) -> Backend:
-    """The backend named by ``kind``: "mock" or "http"."""
-    return MockBackend(seed=mock_seed) if kind == "mock" else HttpBackend(endpoint=endpoint)
+    """The backend named by ``kind``, one of BACKEND_KINDS."""
+    return MockBackend(seed=mock_seed) if kind == BACKEND_MOCK else HttpBackend(endpoint=endpoint)
 
 
 class CompletionCache:
@@ -241,6 +251,8 @@ class CompletionCache:
     request is a miss. Other keys on a line are ignored. Each store appends
     its line in one write and updates the in-memory map, so later lookups in
     the same process hit. Other processes see it when they next open the log.
+    Threads sharing the cache claim a fingerprint before sending it, so one
+    of them sends it and the others wait for its answer.
     """
 
     def __init__(self, directory: str | Path):
@@ -248,6 +260,8 @@ class CompletionCache:
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / "completions.jsonl"
         self._entries: dict[str, str] = {}
+        self._claimed: set[str] = set()
+        self._claims_changed = threading.Condition()
         try:
             blob = self.path.read_bytes()
         except FileNotFoundError:
@@ -272,6 +286,20 @@ class CompletionCache:
             fh.write(line + "\n")
         self._entries[fingerprint] = raw_text
 
+    @contextmanager
+    def claim(self, fingerprint: str) -> Iterator[None]:
+        """Hold ``fingerprint`` for the block; a thread claiming it meanwhile waits until the block ends."""
+        with self._claims_changed:
+            while fingerprint in self._claimed:
+                self._claims_changed.wait()
+            self._claimed.add(fingerprint)
+        try:
+            yield
+        finally:
+            with self._claims_changed:
+                self._claimed.discard(fingerprint)
+                self._claims_changed.notify_all()
+
 
 def complete(
     request: CompletionRequest,
@@ -284,15 +312,28 @@ def complete(
     AuthError and BadRequest propagate after one attempt; RateLimited and
     other TransportErrors are retried with exponential backoff and raise
     BackendExhausted once the attempt budget is spent. Successful responses
-    are cached before return. The label is normalized from the raw text on a
-    hit and on a miss alike.
+    are cached before return. With a cache, one thread at a time sends a
+    fingerprint: a duplicate request waits and then hits, or, when the first
+    one failed, tries for itself. The label is normalized from the raw text
+    on a hit and on a miss alike.
     """
     fp = request.fingerprint
-    if cache is not None:
-        raw = cache.load(fp)
-        if raw is not None:
-            return Completion(raw_text=raw, normalized_label=normalize_label(raw), from_cache=True)
+    raw = None if cache is None else cache.load(fp)
+    from_cache = raw is not None
+    if cache is None:
+        raw = _send_with_retries(request, fp, backend, retry)
+    elif not from_cache:
+        with cache.claim(fp):
+            # looked up again: the thread that held the claim may have stored it
+            raw = cache.load(fp)
+            from_cache = raw is not None
+            if not from_cache:
+                raw = _send_with_retries(request, fp, backend, retry)
+                cache.store(fp, raw)
+    return Completion(raw_text=raw, normalized_label=normalize_label(raw), from_cache=from_cache)
 
+
+def _send_with_retries(request: CompletionRequest, fp: str, backend: Backend, retry: RetryPolicy) -> str:
     last_error: BackendError | None = None
     for attempt in range(1, retry.attempts + 1):
         try:
@@ -305,9 +346,7 @@ def complete(
             if attempt < retry.attempts:
                 retry.sleep(retry.delay(attempt))
             continue
-        if cache is not None:
-            cache.store(fp, raw)
-        return Completion(raw_text=raw, normalized_label=normalize_label(raw), from_cache=False)
+        return raw
     raise BackendExhausted(f"gave up after {retry.attempts} attempts: {last_error}", fp)
 
 

@@ -8,7 +8,6 @@ excluded from scoring but counted.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -16,8 +15,9 @@ logger = logging.getLogger(__name__)
 
 EVAL_LABELS = ("neutral", "sad", "happy", "angry")
 
-UA_MACRO_RECALL = "macro-recall"
+UA_MACRO_RECALL = "macro-recall"  # the default
 UA_MICRO = "micro"
+UA_DEFINITIONS = (UA_MACRO_RECALL, UA_MICRO)
 
 
 class EmptyInput(ValueError):
@@ -49,9 +49,6 @@ class EvalReport:
             "n_excluded": self.n_excluded,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def format_table(self) -> str:
         header = "truth \\ pred" + "".join(f"{l:>9}" for l in EVAL_LABELS)
         lines = [header]
@@ -73,7 +70,7 @@ def evaluate(
     counted. Predictions must already be normalized into the 4-class set.
     Raises EmptyInput when nothing survives exclusion.
     """
-    if ua_definition not in (UA_MACRO_RECALL, UA_MICRO):
+    if ua_definition not in UA_DEFINITIONS:
         raise ValueError(f"unknown ua_definition {ua_definition!r}")
     pos = {label: i for i, label in enumerate(EVAL_LABELS)}
     confusion = [[0] * len(EVAL_LABELS) for _ in EVAL_LABELS]

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .corpus import UtteranceRecord
-from .llm import Backend, CompletionCache, CompletionRequest, complete
+from .llm import DEFAULT_MODEL, Backend, CompletionCache, CompletionRequest, complete
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +105,7 @@ def refine_record(
     cfg: RefinementConfig,
     backend: Backend | None = None,
     cache: CompletionCache | None = None,
-    llm_model: str = "gpt-3.5-turbo",
+    llm_model: str = DEFAULT_MODEL,
 ) -> RefinementOutcome:
     """Filter the record's transcriptions and select one; the record is not
     modified.

@@ -41,10 +41,9 @@ class EmptyReference(ValueError):
 
 @dataclass(frozen=True)
 class NormalizedTokens:
-    """Lowercase tokens plus the string they came from."""
+    """Lowercase tokens of one normalized text."""
 
     tokens: tuple[str, ...]
-    source: str
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -53,7 +52,7 @@ class NormalizedTokens:
 def normalize(text: str) -> NormalizedTokens:
     """Lowercase, strip everything outside [a-z0-9'] to spaces, split."""
     tokens = _CLEAN_RE.sub(" ", text.lower()).split()
-    return NormalizedTokens(tokens=tuple(tokens), source=text)
+    return NormalizedTokens(tokens=tuple(tokens))
 
 
 class EditOps(NamedTuple):

@@ -145,6 +145,26 @@ class TestRefine:
         appended = log.read_text(encoding="utf-8").splitlines()[len(rest) + 1 :]
         assert [json.loads(line) for line in appended] == [json.loads(first)]
 
+    def test_records_with_the_same_candidates_send_one_request(self, tmp_path, monkeypatch):
+        from textemo.llm import MockBackend
+
+        sent = []
+        send = MockBackend.send
+
+        def slow_send(self, request):
+            sent.append(request.fingerprint)
+            time.sleep(0.05)
+            return send(self, request)
+
+        monkeypatch.setattr(MockBackend, "send", slow_send)
+        infile = tmp_path / "in.json"
+        write_corpus([make_entry("Ses01F_01_F000"), make_entry("Ses01F_01_M000")], infile)
+        cache = tmp_path / "cache"
+        argv = ["refine", "--in", str(infile), "--out", str(tmp_path / "out.json"), "--cache-dir", str(cache)]
+        assert main(argv + ["--concurrency", "4"]) == 0
+        assert len(sent) == 1
+        assert len((cache / "completions.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+
     def test_zero_min_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
         argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--min-length", "0"]
         assert main(argv) == 1
@@ -219,6 +239,15 @@ class TestRun:
         argv = ["run", str(fixture_corpus), "--text-source", "whispertiny", "--context-length", "0"]
         assert main(argv + ["--out-dir", str(tmp_path / "runs")]) == 1
         assert "error: experiment 'run': context_length must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value", [("--context-mode", "foo"), ("--context-length", "abc")])
+    def test_unparseable_option_is_a_usage_error(self, tmp_path, fixture_corpus, capsys, option, value):
+        argv = ["run", str(fixture_corpus), "--text-source", "whispertiny", "--out-dir", str(tmp_path / "runs")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [option, value])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert main(argv + ["--context-length", "0"]) == 1
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path, fixture_corpus):
         cache = tmp_path / "cache"

@@ -184,23 +184,13 @@ class TestProperties:
 
 class TestFormatContext:
     def test_two_items(self):
-        window = ContextWindow(
-            items=[("Ses01_F", "hello"), ("Ses01_M", "hi")],
-            mode="script",
-            requested_length=3,
-            truncated_by_boundary=False,
-        )
+        window = ContextWindow(items=[("Ses01_F", "hello"), ("Ses01_M", "hi")], truncated_by_boundary=False)
         assert format_context(window) == "Speaker Ses01_F says: hello Speaker Ses01_M says: hi"
 
     def test_empty_window_sentinel(self):
-        window = ContextWindow(items=[], mode="script", requested_length=3, truncated_by_boundary=False)
+        window = ContextWindow(items=[], truncated_by_boundary=False)
         assert format_context(window) == EMPTY_CONTEXT == "(no prior context)"
 
     def test_trailing_whitespace_trimmed(self):
-        window = ContextWindow(
-            items=[("Ses01_F", "hello  ")],
-            mode="script",
-            requested_length=1,
-            truncated_by_boundary=False,
-        )
+        window = ContextWindow(items=[("Ses01_F", "hello  ")], truncated_by_boundary=False)
         assert format_context(window) == "Speaker Ses01_F says: hello"

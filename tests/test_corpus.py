@@ -251,3 +251,12 @@ class TestIndex:
         with caplog.at_level("WARNING"):
             build_corpus(objects)
         assert any("non-contiguous" in message for message in caplog.messages)
+
+    def test_unknown_models_warn_once_per_corpus(self, caplog):
+        objects = [make_entry(f"Ses01F_01_F{i:03d}") for i in range(300)]
+        for obj in objects[:120]:
+            obj["shinynewasr"] = "well"
+        with caplog.at_level("WARNING"):
+            corpus = build_corpus(objects)
+        assert caplog.messages == ["unknown ASR model(s) shinynewasr kept as transcriptions in 120 of 300 records"]
+        assert "shinynewasr" in corpus.model_names

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from collections import Counter
 
@@ -230,6 +231,48 @@ class TestCache:
         assert not caplog.messages
         assert all(reopened.load(request.fingerprint) is not None for request in requests)
 
+    def test_each_fingerprint_is_sent_once_at_any_thread_count(self, tmp_path):
+        class SlowBackend:
+            def __init__(self):
+                self.sent: list[str] = []
+
+            def send(self, request):
+                self.sent.append(request.fingerprint)
+                time.sleep(0.05)
+                return "sad"
+
+        backend, cache = SlowBackend(), CompletionCache(tmp_path)
+        requests = [fixture_request(f"prompt {n % 5}") for n in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            completions = fan_out(lambda request: complete(request, backend, cache=cache), requests, concurrency=8)
+        finally:
+            sys.setswitchinterval(interval)
+        distinct = {request.fingerprint for request in requests}
+        assert Counter(backend.sent) == {fp: 1 for fp in distinct}
+        lines = cache.path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["fingerprint"] for line in lines) == sorted(distinct)
+        assert sum(not completion.from_cache for completion in completions) == len(distinct)
+
+    def test_a_duplicate_retries_when_the_first_request_fails(self, tmp_path):
+        class FailsFirst:
+            def __init__(self):
+                self.calls = 0
+
+            def send(self, request):
+                self.calls += 1
+                if self.calls == 1:
+                    time.sleep(0.05)
+                    raise BadRequest("rejected", request.fingerprint)
+                return "sad"
+
+        backend, cache = FailsFirst(), CompletionCache(tmp_path)
+        results = fan_out(lambda request: complete(request, backend, cache=cache), [fixture_request()] * 2, 2)
+        assert sorted(type(result).__name__ for result in results) == ["BadRequest", "Completion"]
+        assert backend.calls == 2
+        assert len(cache.path.read_text(encoding="utf-8").splitlines()) == 1
+
     def test_leftover_entry_file_is_ignored(self, tmp_path):
         request = fixture_request()
         leftover = tmp_path / f"{request.fingerprint}.json"
@@ -399,6 +442,26 @@ class TestHttpBackend:
         backend = HttpBackend(api_key="k", session=FakeSession())
         with pytest.raises(exc):
             backend.send(fixture_request())
+
+    @pytest.mark.parametrize("content", [None, 7, ["sad"]])
+    def test_non_string_content_is_a_malformed_body(self, tmp_path, content):
+        from textemo.llm import HttpBackend
+
+        class FakeResponse:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": content}}]}
+
+        class FakeSession:
+            def post(self, *a, **k):
+                return FakeResponse()
+
+        cache = CompletionCache(tmp_path)
+        backend = HttpBackend(api_key="k", session=FakeSession())
+        with pytest.raises(BackendExhausted, match="malformed response body: content is"):
+            complete(fixture_request(), backend, cache=cache, retry=no_sleep_policy(attempts=2))
+        assert not cache.path.exists()
 
     @pytest.mark.parametrize("status,posts", [(400, 1), (404, 1), (422, 1), (408, 5), (500, 5), (503, 5)])
     def test_client_errors_posted_once(self, status, posts):
