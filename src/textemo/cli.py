@@ -159,7 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for kind, path in paths.items():
         print(f"wrote {kind}: {path}")
     if result.failures:
-        print(f"{len(result.failures)} request(s) failed; see retry manifest", file=sys.stderr)
+        print(f"{len(result.failures)} record(s) failed; see retry manifest", file=sys.stderr)
         return EXIT_BACKEND
     return EXIT_OK
 

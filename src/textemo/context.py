@@ -34,15 +34,20 @@ class ContextWindow:
 
 
 def source_text(record: UtteranceRecord, text_source: str) -> str | None:
-    """Record text under the requested source, or None when the record lacks it."""
-    return record.ensemble if text_source == ENSEMBLE_KEY else record.transcriptions.get(text_source)
+    """Record text under the requested source, or None when the record lacks
+    it or it is blank (empty or whitespace only)."""
+    text = record.ensemble if text_source == ENSEMBLE_KEY else record.transcriptions.get(text_source)
+    return None if not text or text.isspace() else text
 
 
 def resolve_text(record: UtteranceRecord, text_source: str) -> str:
     """Record text under the requested source, falling back to the longest
-    available transcription when the source is absent."""
+    non-blank transcription when the source is missing or blank; "" when the
+    record has no non-blank text."""
     text = source_text(record, text_source)
-    return max(record.transcriptions.values(), key=len) if text is None else text
+    if text is None:
+        text = max((t for t in record.transcriptions.values() if t and not t.isspace()), key=len, default="")
+    return text
 
 
 def check_text_source(corpus: Corpus, text_source: str) -> None:
@@ -54,9 +59,9 @@ def check_text_source(corpus: Corpus, text_source: str) -> None:
 def build_context(
     corpus: Corpus,
     target: int,
-    mode: str = MODE_SCRIPT,
-    length: int = 3,
-    text_source: str = ENSEMBLE_KEY,
+    mode: str,
+    length: int,
+    text_source: str,
 ) -> ContextWindow:
     """Window of up to `length` utterances preceding `target` in file order.
 

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -227,12 +227,6 @@ class Corpus:
     sessions: dict[str, list[int]]
     model_names: frozenset[str]
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[UtteranceRecord]:
-        return iter(self.records)
-
 
 def record_from_object(obj: Mapping, position: int, strict: bool = False) -> UtteranceRecord:
     """Build one record from a decoded JSON object.
@@ -336,8 +330,8 @@ def parse_records(objects: list[Mapping]) -> tuple[list[UtteranceRecord], list[s
 
 
 def index_records(records: list[UtteranceRecord]) -> Corpus:
-    """Group parsed records by script and session, warning about non-contiguous
-    scripts and, once, about ASR model names outside the known set."""
+    """Group parsed records by script and session, warning once about
+    non-contiguous scripts and once about ASR model names outside the known set."""
     scripts: dict[str, list[int]] = {}
     sessions: dict[str, list[int]] = {}
     model_names: set[str] = set()
@@ -345,9 +339,9 @@ def index_records(records: list[UtteranceRecord]) -> Corpus:
         scripts.setdefault(rec.id.script_key, []).append(rec.file_position)
         sessions.setdefault(rec.id.session_key, []).append(rec.file_position)
         model_names.update(rec.transcriptions)
-    for key, positions in scripts.items():
-        if positions[-1] - positions[0] + 1 != len(positions):
-            logger.warning("script %s: records are non-contiguous in file order", key)
+    split = [key for key, positions in scripts.items() if positions[-1] - positions[0] + 1 != len(positions)]
+    if split:
+        logger.warning("records of %d script(s) are non-contiguous in file order, first %s", len(split), split[0])
     unknown = model_names - KNOWN_ASR_MODELS
     if unknown:
         carrying = sum(not KNOWN_ASR_MODELS.issuperset(rec.transcriptions) for rec in records)

@@ -5,15 +5,16 @@ renders the chosen prompt, resolves it through the annotator backend, and
 normalizes the response to a label (falling back to "neutral" when the
 response carries no label, counted in fallback_count). Artifacts per run: a
 predictions JSON, an eval JSON when truth labels exist, and a line-delimited
-JSON run log with one fingerprinted event per prediction. Failed requests go
-to a retry manifest; an AuthError aborts the run.
+JSON run log with one fingerprinted event per prediction. Failed requests, and
+targets with no non-blank text to predict from, go to a retry manifest; an
+AuthError aborts the run.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -205,20 +206,27 @@ def run_experiment(
             spec.text_source,
         )
 
-    targets = [rec for rec in corpus.records if rec.need_prediction]
+    targets: list[UtteranceRecord] = []
+    failures: list[dict] = []
+    for record in corpus.records:
+        if record.need_prediction and resolve_text(record, spec.text_source):
+            targets.append(record)
+        elif record.need_prediction:
+            error = f"no non-blank {spec.text_source!r} text or transcription to predict from"
+            failures.append({"id": record.id.raw, "fingerprint": None, "error": error})
     outcomes = fan_out(
         lambda record: _predict_one(corpus, record, spec, template, backend, cache, retry), targets, concurrency
     )
     predictions: list[PredictionEvent] = []
     truth_pairs: list[tuple[str | None, str]] = []
-    failures: list[dict] = []
     for record, outcome in zip(targets, outcomes):
         if isinstance(outcome, BackendError):
-            logger.error("record %s failed: %s", record.id.raw, outcome)
             failures.append({"id": record.id.raw, "fingerprint": outcome.fingerprint, "error": str(outcome)})
         else:
             predictions.append(outcome)
             truth_pairs.append((record.emotion, outcome.prediction))
+    for failure in failures:
+        logger.error("record %s failed: %s", failure["id"], failure["error"])
 
     eval_report: EvalReport | None = None
     if any(truth is not None for truth, _ in truth_pairs):
@@ -255,7 +263,7 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Pat
     log_path = out / f"{name}.log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
         for event in result.predictions:
-            fh.write(json.dumps({"event": "prediction", **asdict(event)}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"event": "prediction", **vars(event)}, sort_keys=True) + "\n")
         fh.write(
             json.dumps(
                 {

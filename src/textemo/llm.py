@@ -86,15 +86,14 @@ class BackendExhausted(BackendError):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One annotator call, identified by a content hash of its fields."""
+    """One annotator call, identified by a content hash of its fields, computed once."""
 
     model: str
     prompt: str
     temperature: float = 0.0
     max_tokens: int = 16
 
-    @property
-    def fingerprint(self) -> str:
+    def __post_init__(self) -> None:
         payload = json.dumps(
             {
                 "model": self.model,
@@ -106,7 +105,11 @@ class CompletionRequest:
             ensure_ascii=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_fingerprint", hashlib.sha256(payload.encode("utf-8")).hexdigest())
+
+    @property
+    def fingerprint(self) -> str:
+        return self._fingerprint
 
 
 @dataclass(frozen=True)

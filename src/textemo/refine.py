@@ -58,7 +58,6 @@ class RefinementOutcome:
 
     chosen: str
     chosen_source: str
-    llm_raw: str | None = None
 
 
 def _length(text: str, unit: str) -> int:
@@ -119,7 +118,6 @@ def refine_record(
     all_short = all(_length(t, cfg.length_unit) <= cfg.min_length for t in record.transcriptions.values())
     fallback_source = SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
 
-    llm_raw: str | None = None
     chosen: tuple[str, str] | None = None
     source = fallback_source
 
@@ -132,9 +130,7 @@ def refine_record(
             temperature=0.0,
             max_tokens=128,
         )
-        completion = complete(request, backend, cache=cache)
-        llm_raw = completion.raw_text
-        wanted = llm_raw.strip().casefold()
+        wanted = complete(request, backend, cache=cache).raw_text.strip().casefold()
         for model, text in candidates:
             if text.strip().casefold() == wanted:
                 chosen = (model, text)
@@ -144,4 +140,4 @@ def refine_record(
     if chosen is None:
         chosen = select_longest(candidates, cfg)
 
-    return RefinementOutcome(chosen=chosen[1], chosen_source=source, llm_raw=llm_raw)
+    return RefinementOutcome(chosen=chosen[1], chosen_source=source)

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .corpus import Corpus
 from .metrics import EVAL_LABELS
-
-logger = logging.getLogger(__name__)
 
 # Emotion classes of the aggregate report: the 4 target labels, a catch-all
 # for every other label, and the all-classes roll-up.
@@ -242,13 +239,9 @@ def wer_report(corpus: Corpus) -> WerReport:
     builds its match masks once for all of the record's hypotheses, and
     models that output the same text share one distance.
     """
-    edits: dict[tuple[str, str], int] = {}
-    ref_lens: dict[tuple[str, str], int] = {}
-    counts: dict[tuple[str, str], int] = {}
+    tally: dict[tuple[str, str], list[int]] = {}  # (model, class) -> [edits, reference tokens, utterances]
     class_counts: dict[str, int] = {}
     skipped: dict[str, int] = {}
-    models: list[str] = []
-    seen_models: set[str] = set()
 
     for rec in corpus.records:
         cls = emotion_class(rec.emotion)
@@ -261,7 +254,6 @@ def wer_report(corpus: Corpus) -> WerReport:
         ref = normalize(rec.ground_truth)
         if not ref.tokens:
             skipped["empty_reference"] = skipped.get("empty_reference", 0) + 1
-            logger.warning("record %d: empty reference after normalization, excluded", rec.file_position)
             continue
 
         class_counts[cls] = class_counts.get(cls, 0) + 1
@@ -269,20 +261,20 @@ def wer_report(corpus: Corpus) -> WerReport:
         masks, ref_len = _match_masks(ref.tokens), len(ref.tokens)
         by_text: dict[str, int] = {}
         for model, hyp_text in rec.transcriptions.items():
-            if model not in seen_models:
-                seen_models.add(model)
-                models.append(model)
             dist = by_text.get(hyp_text)
             if dist is None:
                 dist = by_text[hyp_text] = _bit_distance(masks, ref_len, normalize(hyp_text).tokens)
-            for bucket in (cls, "overall"):
-                key = (model, bucket)
-                edits[key] = edits.get(key, 0) + dist
-                ref_lens[key] = ref_lens.get(key, 0) + ref_len
-                counts[key] = counts.get(key, 0) + 1
+            counts = tally.get((model, cls))
+            if counts is None:
+                counts = tally[model, cls] = [0, 0, 0]
+            counts[0] += dist
+            counts[1] += ref_len
+            counts[2] += 1
 
-    cells = {
-        key: WerCell(wer=edits[key] / ref_lens[key], utterances=counts[key])
-        for key in edits
-    }
-    return WerReport(cells=cells, class_counts=class_counts, models=models, skipped=skipped)
+    # models in order of first appearance, which is the order their first tally was made
+    overall: dict[str, list[int]] = {}
+    for (model, _), counts in tally.items():
+        overall[model] = [a + b for a, b in zip(overall.get(model, (0, 0, 0)), counts)]
+    tally.update(((model, "overall"), counts) for model, counts in overall.items())
+    cells = {key: WerCell(wer=edits / ref_len, utterances=n) for key, (edits, ref_len, n) in tally.items()}
+    return WerReport(cells=cells, class_counts=class_counts, models=list(overall), skipped=skipped)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from textemo.cli import main
+from textemo.corpus import KNOWN_ASR_MODELS
 from textemo.fixtures import generate_corpus, write_corpus
 
 from conftest import make_entry
@@ -295,6 +296,30 @@ class TestRun:
         assert (tmp_path / "warm" / "demo.predictions.json").read_bytes() == cold
         summary = json.loads((tmp_path / "warm" / "demo.log.jsonl").read_text(encoding="utf-8").splitlines()[-1])
         assert summary["cache_hit_rate"] == 1.0
+
+
+class TestTargetWithoutText:
+    @pytest.mark.parametrize("command", ["run", "matrix"])
+    def test_exits_3_with_one_manifest_entry(self, tmp_path, capsys, command):
+        objects = generate_corpus(seed=7, n_records=60)
+        targets = [obj for obj in objects if obj["need_prediction"] == "yes"]
+        targets[0].update(dict.fromkeys(KNOWN_ASR_MODELS & targets[0].keys(), ""))
+        path = tmp_path / "corpus.json"
+        write_corpus(objects, path)
+        out_dir = tmp_path / "runs"
+        if command == "run":
+            argv = ["run", str(path), "--name", "demo", "--text-source", "whispertiny", "--out-dir", str(out_dir)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"experiments": [{"name": "demo", "text_source": "whispertiny"}]}))
+            argv = ["matrix", str(path), "--config", str(config), "--out-dir", str(out_dir)]
+        assert main(argv) == 3
+        manifest = json.loads((out_dir / "demo.retry.json").read_text())
+        assert [(m["id"], m["fingerprint"]) for m in manifest] == [(targets[0]["id"], None)]
+        assert "no non-blank 'whispertiny' text" in manifest[0]["error"]
+        predictions = json.loads((out_dir / "demo.predictions.json").read_text())
+        assert [p["id"] for p in predictions] == [t["id"] for t in targets[1:]]
+        assert ("1 record(s) failed" if command == "run" else "had failed requests") in capsys.readouterr().err
 
 
 class TestMatrix:

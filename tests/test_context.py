@@ -87,7 +87,7 @@ class TestBuildContext:
 
     def test_unknown_text_source(self, worked_example_corpus):
         with pytest.raises(UnknownTextSource):
-            build_context(worked_example_corpus, 5, text_source="nosuchmodel")
+            build_context(worked_example_corpus, 5, mode="script", length=3, text_source="nosuchmodel")
 
     def test_ensemble_source_always_allowed(self, worked_example_corpus):
         window = build_context(worked_example_corpus, 2, mode="script", length=2, text_source="ensemble")
@@ -95,9 +95,9 @@ class TestBuildContext:
 
     def test_invalid_target(self, worked_example_corpus):
         with pytest.raises(InvalidTarget):
-            build_context(worked_example_corpus, 99, text_source="whispertiny")
+            build_context(worked_example_corpus, 99, mode="script", length=3, text_source="whispertiny")
         with pytest.raises(InvalidTarget):
-            build_context(worked_example_corpus, -1, text_source="whispertiny")
+            build_context(worked_example_corpus, -1, mode="script", length=3, text_source="whispertiny")
 
     def test_missing_source_falls_back_to_longest(self):
         objects = [

@@ -202,7 +202,7 @@ class TestRecordFromObject:
 class TestLoadCorpus:
     def test_single_sample_entry(self, sample_corpus_file):
         corpus = load_corpus(sample_corpus_file)
-        assert len(corpus) == 1
+        assert len(corpus.records) == 1
         rec = corpus.records[0]
         assert rec.emotion == "sad"
         assert rec.need_prediction is True
@@ -211,7 +211,7 @@ class TestLoadCorpus:
     def test_empty_array(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]", encoding="utf-8")
-        assert len(load_corpus(path)) == 0
+        assert len(load_corpus(path).records) == 0
 
     def test_json_lines_autodetect(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -251,6 +251,14 @@ class TestIndex:
         with caplog.at_level("WARNING"):
             build_corpus(objects)
         assert any("non-contiguous" in message for message in caplog.messages)
+
+    def test_non_contiguous_scripts_warn_once_per_load(self, caplog):
+        objects = [make_entry(f"Ses01F_script0{script}_1_F{i:03d}") for i in range(3) for script in (1, 2, 3)]
+        with caplog.at_level("WARNING"):
+            build_corpus(objects)
+        warnings = [message for message in caplog.messages if "non-contiguous" in message]
+        assert len(warnings) == 1
+        assert "3 script(s)" in warnings[0] and "Ses01F/script01" in warnings[0]
 
     def test_unknown_models_warn_once_per_corpus(self, caplog):
         objects = [make_entry(f"Ses01F_01_F{i:03d}") for i in range(300)]

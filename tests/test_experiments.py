@@ -113,6 +113,51 @@ class TestRunExperiment:
         flagged = sum(1 for rec in small_corpus.records if rec.need_prediction)
         assert len(result.predictions) + len(result.failures) == flagged
 
+    def test_each_request_is_hashed_once(self, small_corpus, tmp_path, monkeypatch):
+        import hashlib
+
+        class Constant:  # hashes nothing itself, unlike MockBackend
+            def send(self, request):
+                return "sad"
+
+        sha256 = hashlib.sha256
+        calls = []
+        monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(1) or sha256(*args))
+        cache = CompletionCache(tmp_path / "cache")
+        result = run_experiment(mock_spec(), small_corpus, Constant(), cache=cache, concurrency=1)
+        assert result.predictions and not result.failures
+        assert len(calls) == len(result.predictions)
+
+
+class TestBlankText:
+    @pytest.mark.parametrize("source, blank", [("whispertiny", ""), ("whispertiny", " \t"), ("ensemble", "")])
+    def test_blank_target_falls_back_to_longest_non_blank(self, caplog, source, blank):
+        class Recording:
+            def __init__(self):
+                self.prompts: list[str] = []
+
+            def send(self, request):
+                self.prompts.append(request.prompt)
+                return "sad"
+
+        # a whitespace-only transcription longer than any text must not be chosen
+        models = {"whispertiny": "line {}", "hubertlarge": "line {} yes", "w2v2100": " " * 30}
+        objects = [
+            make_entry(
+                f"Ses01F_impro01_F{i:03d}", need_prediction="yes", models={m: t.format(i) for m, t in models.items()}
+            )
+            for i in range(4)
+        ]
+        for obj in objects:
+            obj["ensemble"] = obj["hubertlarge"]
+        objects[2][source] = blank
+        backend = Recording()
+        with caplog.at_level("WARNING"):
+            result = run_experiment(mock_spec(text_source=source), build_corpus(objects), backend, concurrency=1)
+        assert len(result.predictions) == 4 and not result.failures
+        assert "the sentence line 2 yes from" in backend.prompts[2]
+        assert any(f"1 of 4 records have no {source!r} text" in m for m in caplog.messages)
+
 
 class TestArtifacts:
     def test_files_written(self, small_corpus, tmp_path):

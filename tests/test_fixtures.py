@@ -32,7 +32,7 @@ class TestGenerateCorpus:
     def test_loads_strict(self):
         objects = generate_corpus(seed=3, n_records=80)
         corpus = build_corpus(objects, strict=True)
-        assert len(corpus) == 80
+        assert len(corpus.records) == 80
 
     def test_label_distribution_controllable(self):
         objects = generate_corpus(

@@ -140,13 +140,11 @@ class TestRefineRecord:
         outcome = refine_record(sample_record, cfg, backend=backend)
         assert outcome.chosen == SAMPLE_LONGEST
         assert outcome.chosen_source == SOURCE_LONGEST
-        assert outcome.llm_raw == "I pick option 2."
 
     def test_longest_only_on_sample(self, sample_record):
         cfg = RefinementConfig(selector="longest_only")
         outcome = refine_record(sample_record, cfg)
         assert outcome.chosen == SAMPLE_LONGEST
-        assert outcome.llm_raw is None
 
     def test_longest_only_deterministic(self, sample_record):
         cfg = RefinementConfig(selector="longest_only")
