@@ -74,6 +74,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{len(violations)} violation(s) in {len(objects)} record(s)")
         return EXIT_FAILED
     corpus_mod.index_records(records)  # surfaces non-contiguity warnings
+    blank = [rec.id.raw for rec in records for text in rec.transcriptions.values() if corpus_mod.is_blank(text)]
+    if blank:
+        print(f"blank: {len(blank)} transcription(s) are empty or whitespace only, first in {blank[0]}")
     print(f"ok: {len(objects)} record(s)")
     return EXIT_OK
 

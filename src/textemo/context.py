@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .corpus import CONTEXT_MODES, ENSEMBLE_KEY, MODE_SCRIPT, Corpus, UtteranceRecord
+from .corpus import CONTEXT_MODES, ENSEMBLE_KEY, MODE_SCRIPT, Corpus, UtteranceRecord, is_blank
 
 EMPTY_CONTEXT = "(no prior context)"
 
@@ -37,7 +37,7 @@ def source_text(record: UtteranceRecord, text_source: str) -> str | None:
     """Record text under the requested source, or None when the record lacks
     it or it is blank (empty or whitespace only)."""
     text = record.ensemble if text_source == ENSEMBLE_KEY else record.transcriptions.get(text_source)
-    return None if not text or text.isspace() else text
+    return None if is_blank(text) else text
 
 
 def resolve_text(record: UtteranceRecord, text_source: str) -> str:
@@ -46,7 +46,7 @@ def resolve_text(record: UtteranceRecord, text_source: str) -> str:
     record has no non-blank text."""
     text = source_text(record, text_source)
     if text is None:
-        text = max((t for t in record.transcriptions.values() if t and not t.isspace()), key=len, default="")
+        text = max((t for t in record.transcriptions.values() if not is_blank(t)), key=len, default="")
     return text
 
 

@@ -300,6 +300,11 @@ def record_from_object(obj: Mapping, position: int, strict: bool = False) -> Utt
     )
 
 
+def is_blank(text: str | None) -> bool:
+    """A text that is missing, empty or whitespace only; every stage treats it as absent."""
+    return not text or text.isspace()
+
+
 def _parse_need_prediction(value: object, position: int) -> bool:
     # Curated files use "yes"/"no" strings; plain booleans are accepted too.
     # A missing flag means the record is context-only.

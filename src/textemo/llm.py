@@ -18,6 +18,7 @@ falling back to OPENAI_API_KEY.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -26,6 +27,7 @@ import random
 import re
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +36,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequenc
 from .metrics import EVAL_LABELS
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
+    from urllib.parse import SplitResult
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +54,8 @@ API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
 
 _LABEL_RE = re.compile(rf"\b({'|'.join(EVAL_LABELS)})\b")
 _PUNCT_RE = re.compile(r"[^a-z0-9']+")
+# The delta-seconds form of Retry-After (RFC 9110 section 10.2.3); the HTTP-date form is not honoured.
+_DELTA_SECONDS_RE = re.compile(r"[0-9]+")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -69,7 +74,12 @@ class AuthError(BackendError):
 
 
 class RateLimited(BackendError):
-    """Rate-limit response for a single attempt; retried with backoff."""
+    """Rate-limit response for a single attempt; retried after ``retry_after``
+    seconds when the server named a delay, else with backoff."""
+
+    def __init__(self, message: str, fingerprint: str | None = None, retry_after: float | None = None):
+        super().__init__(message, fingerprint)
+        self.retry_after = retry_after
 
 
 class TransportError(BackendError):
@@ -141,14 +151,20 @@ def normalize_label(raw: str) -> str | None:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with full jitter: uniform(0, base * factor**n)."""
+    """Exponential backoff with full jitter: uniform(0, base * factor**n).
+
+    A delay the server asks for (Retry-After) is used instead, capped at the
+    largest backoff, base * factor**(attempts-1).
+    """
 
     attempts: int = 5
     base: float = 1.0
     factor: float = 2.0
     sleep: Callable[[float], None] = time.sleep
 
-    def delay(self, attempt: int) -> float:
+    def delay(self, attempt: int, retry_after: float | None = None) -> float:
+        if retry_after is not None:
+            return min(retry_after, self.base * self.factor ** (self.attempts - 1))
         return random.uniform(0.0, self.base * self.factor ** (attempt - 1))
 
 
@@ -177,19 +193,18 @@ class MockBackend:
 
 
 class HttpBackend:
-    """Chat-completions client over HTTP.
+    """Chat-completions client over the standard library's ``http.client``.
 
-    ``requests`` is imported by the methods that use it, not with this
-    module, so commands that never build an HTTP backend do not load it.
+    Each thread keeps one keep-alive connection, to the endpoint or to its
+    proxy. The proxy comes from the environment (``http_proxy``,
+    ``https_proxy``, ``all_proxy``, ``no_proxy``), read once here: an
+    ``http`` endpoint behind a proxy is requested from it by absolute URL, an
+    ``https`` one through a CONNECT tunnel. TLS is verified against the
+    system CA store. ``http.client`` is imported here, not with this module,
+    so commands that never build an HTTP backend do not load it.
     """
 
-    def __init__(
-        self,
-        endpoint: str = DEFAULT_ENDPOINT,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, endpoint: str = DEFAULT_ENDPOINT, api_key: str | None = None, timeout: float = 60.0):
         if api_key is None:
             for var in API_KEY_ENV_VARS:
                 api_key = os.environ.get(var)
@@ -197,15 +212,45 @@ class HttpBackend:
                     break
         if not api_key:
             raise AuthError(f"no API key found in {' or '.join(API_KEY_ENV_VARS)}")
-        import requests
+        import http.client
+        from urllib.parse import urlsplit
+        from urllib.request import getproxies, proxy_bypass
 
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http or https URL")
         self.endpoint = endpoint
-        self.api_key = api_key
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        address = (url.hostname, url.port)
+        self._tunnel: tuple | None = None
+        proxies = getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and not proxy_bypass(url.netloc):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ValueError(f"proxy {proxy!r} is not an http URL")
+            proxy_headers = _proxy_auth(proxy_url)
+            if url.scheme == "http":
+                self._target = url._replace(fragment="").geturl()
+                self._headers.update(proxy_headers)
+            else:
+                self._tunnel = (*address, proxy_headers)
+            address = (proxy_url.hostname, proxy_url.port)
+        if url.scheme == "https":
+            import ssl
+
+            context = ssl.create_default_context()
+            self._open = functools.partial(http.client.HTTPSConnection, *address, timeout=timeout, context=context)
+        else:
+            self._open = functools.partial(http.client.HTTPConnection, *address, timeout=timeout)
+        self._local = threading.local()
+        # Every connection opened, closed when the backend is collected.
+        self._connections: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._connections)
 
     def send(self, request: CompletionRequest) -> str:
-        import requests
+        import http.client
 
         body = {
             "model": request.model,
@@ -213,30 +258,79 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        conn = self._connection()
         try:
-            resp = self.session.post(
-                self.endpoint,
-                json=body,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            response = self._exchange(conn, json.dumps(body).encode("utf-8"))
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise TransportError(f"request failed: {exc}", request.fingerprint) from exc
-        if resp.status_code in (401, 403):
-            raise AuthError(f"authentication rejected (HTTP {resp.status_code})", request.fingerprint)
-        if resp.status_code == 429:
-            raise RateLimited("rate limited (HTTP 429)", request.fingerprint)
-        if 400 <= resp.status_code < 500 and resp.status_code != 408:
-            raise BadRequest(f"request rejected (HTTP {resp.status_code}): {resp.text[:200]}", request.fingerprint)
-        if resp.status_code != 200:
-            raise TransportError(f"unexpected HTTP {resp.status_code}: {resp.text[:200]}", request.fingerprint)
+        status = response.status
+        if status in (401, 403):
+            raise AuthError(f"authentication rejected (HTTP {status})", request.fingerprint)
+        if status == 429:
+            retry_after = response.getheader("Retry-After", "").strip()
+            delay = float(retry_after) if _DELTA_SECONDS_RE.fullmatch(retry_after) else None
+            raise RateLimited("rate limited (HTTP 429)", request.fingerprint, retry_after=delay)
+        if status != 200:
+            text = data.decode("utf-8", "replace")[:200]
+            if 400 <= status < 500 and status != 408:
+                raise BadRequest(f"request rejected (HTTP {status}): {text}", request.fingerprint)
+            raise TransportError(f"unexpected HTTP {status}: {text}", request.fingerprint)
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}, not str")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response body: {exc}", request.fingerprint) from exc
         return content
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, made on its first request."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._open()
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
+            self._connections.append(conn)
+        return conn
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> http.client.HTTPResponse:
+        """POST body on conn and read the response head.
+
+        A connection left open by an earlier request may have been closed by
+        the server while idle; it then fails before any response byte
+        arrives, and is reopened and the body sent once more, at once and
+        not counted as an attempt.
+        """
+        import http.client
+
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            return conn.getresponse()
+        except (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError):
+            if not reused:
+                raise
+        conn.close()
+        conn.request("POST", self._target, body, self._headers)
+        return conn.getresponse()
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for conn in connections:
+        conn.close()
+
+
+def _proxy_auth(proxy_url: SplitResult) -> dict[str, str]:
+    """The Proxy-Authorization header for a proxy URL's credentials, if it has any."""
+    if proxy_url.username is None:
+        return {}
+    import base64
+    from urllib.parse import unquote
+
+    credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")}
 
 
 def make_backend(kind: str, mock_seed: int, endpoint: str) -> Backend:
@@ -251,9 +345,11 @@ class CompletionCache:
 
     The log is read once when the cache opens; a line that does not decode,
     or whose ``raw_text`` is not a string, is logged and skipped, so its
-    request is a miss. Other keys on a line are ignored. Each store appends
-    its line in one write and updates the in-memory map, so later lookups in
-    the same process hit. Other processes see it when they next open the log.
+    request is a miss. Other keys on a line are ignored. The first store
+    opens the log for appending, and the descriptor stays open until the
+    cache is collected. Each store appends its line in one write and updates
+    the in-memory map, so later lookups in the same process hit. Other
+    processes see it when they next open the log.
     Threads sharing the cache claim a fingerprint before sending it, so one
     of them sends it and the others wait for its answer.
     """
@@ -265,6 +361,8 @@ class CompletionCache:
         self._entries: dict[str, str] = {}
         self._claimed: set[str] = set()
         self._claims_changed = threading.Condition()
+        self._fd: int | None = None  # the log's append descriptor, opened by the first store
+        self._append_lock = threading.Lock()
         try:
             blob = self.path.read_bytes()
         except FileNotFoundError:
@@ -285,8 +383,12 @@ class CompletionCache:
 
     def store(self, fingerprint: str, raw_text: str) -> None:
         line = json.dumps({"fingerprint": fingerprint, "raw_text": raw_text}, ensure_ascii=False, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with self._append_lock:
+            if self._fd is None:
+                flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+                self._fd = os.open(self.path, flags, 0o666)
+                weakref.finalize(self, os.close, self._fd)
+            os.write(self._fd, (line + "\n").encode("utf-8"))
         self._entries[fingerprint] = raw_text
 
     @contextmanager
@@ -347,7 +449,7 @@ def _send_with_retries(request: CompletionRequest, fp: str, backend: Backend, re
             last_error = exc
             logger.warning("attempt %d/%d failed: %s", attempt, retry.attempts, exc)
             if attempt < retry.attempts:
-                retry.sleep(retry.delay(attempt))
+                retry.sleep(retry.delay(attempt, exc.retry_after if isinstance(exc, RateLimited) else None))
             continue
         return raw
     raise BackendExhausted(f"gave up after {retry.attempts} attempts: {last_error}", fp)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .corpus import UtteranceRecord
+from .corpus import UtteranceRecord, is_blank
 from .llm import DEFAULT_MODEL, Backend, CompletionCache, CompletionRequest, complete
 
 logger = logging.getLogger(__name__)
@@ -64,17 +64,22 @@ def _length(text: str, unit: str) -> int:
     return len(text) if unit == "characters" else len(text.split())
 
 
+def _nonblank(record: UtteranceRecord) -> list[tuple[str, str]]:
+    """The record's transcriptions that are not blank (empty or whitespace
+    only); all of them when every one is blank."""
+    texts = [(m, t) for m, t in record.transcriptions.items() if not is_blank(t)]
+    return texts if texts else list(record.transcriptions.items())
+
+
 def filter_transcriptions(record: UtteranceRecord, cfg: RefinementConfig) -> list[tuple[str, str]]:
-    """Keep candidates strictly longer than min_length; if none survive,
-    return every candidate unchanged.
+    """Keep non-blank candidates strictly longer than min_length; if none
+    survive, return every non-blank candidate (every candidate when all are
+    blank).
 
     Order is model_priority first, then record insertion order.
     """
     priority = {name: pos for pos, name in enumerate(cfg.model_priority)}
-    ordered = sorted(
-        record.transcriptions.items(),
-        key=lambda mt: priority.get(mt[0], len(priority)),
-    )
+    ordered = sorted(_nonblank(record), key=lambda mt: priority.get(mt[0], len(priority)))
     kept = [(m, t) for m, t in ordered if _length(t, cfg.length_unit) > cfg.min_length]
     return kept if kept else ordered
 
@@ -115,7 +120,7 @@ def refine_record(
     record is left unrefined.
     """
     candidates = filter_transcriptions(record, cfg)
-    all_short = all(_length(t, cfg.length_unit) <= cfg.min_length for t in record.transcriptions.values())
+    all_short = all(_length(t, cfg.length_unit) <= cfg.min_length for _, t in _nonblank(record))
     fallback_source = SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
 
     chosen: tuple[str, str] | None = None

@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+import time
+from collections import deque
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -101,3 +106,116 @@ def worked_example_corpus():
         sex = "FM"[i % 2]
         objects.append(make_entry(f"Ses01Z_05_{sex}{i:03d}", text=f"utterance five {i}"))
     return build_corpus(objects)
+
+
+PROXY_ENV_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+def chat_body(content) -> dict:
+    """A chat-completions response body carrying ``content``."""
+    return {"choices": [{"message": {"content": content}}]}
+
+
+@dataclass
+class Reply:
+    """One scripted response. ``close`` drops the connection after it
+    without a ``Connection: close`` header, as a server dropping an idle
+    keep-alive connection does."""
+
+    status: int = 200
+    body: object = field(default_factory=lambda: chat_body("sad"))
+    headers: dict = field(default_factory=dict)
+    delay: float = 0.0
+    close: bool = False
+
+
+@dataclass
+class Received:
+    """One request as the server read it."""
+
+    method: str
+    target: str  # as on the request line: a path, or an absolute URL when sent to a proxy
+    url: str  # the absolute URL the client asked for
+    headers: object  # http.client.HTTPMessage, case-insensitive
+    body: object  # the decoded JSON body
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    server: LoopbackServer
+
+    def setup(self) -> None:
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_CONNECT(self) -> None:
+        """Record a tunnel request and refuse it: the server speaks no TLS."""
+        self.server.record(Received(self.command, self.path, self.path, self.headers, None))
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
+    def do_POST(self) -> None:
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        url = self.path if "://" in self.path else f"http://{self.headers['Host']}{self.path}"
+        reply = self.server.record(Received(self.command, self.path, url, self.headers, json.loads(raw)))
+        time.sleep(reply.delay)
+        body = (reply.body if isinstance(reply.body, str) else json.dumps(reply.body)).encode("utf-8")
+        self.send_response(reply.status)
+        for name, value in reply.headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = reply.close
+
+    def log_message(self, format: str, *args) -> None:
+        pass
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """A chat-completions server on 127.0.0.1 that answers each POST with the
+    next scripted Reply, or with ``default`` once the script runs out, and
+    records every request it reads."""
+
+    daemon_threads = True
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.default = Reply()
+        self.replies: deque[Reply] = deque()
+        self.received: list[Received] = []
+        self.connections = 0  # accepted TCP connections
+        self.lock = threading.Lock()
+
+    def url(self, path: str = "/v1/chat") -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}{path}"
+
+    def script(self, *replies: Reply, default: Reply | None = None) -> None:
+        self.replies.extend(replies)
+        if default is not None:
+            self.default = default
+
+    def record(self, received: Received) -> Reply:
+        with self.lock:
+            self.received.append(received)
+            return self.replies.popleft() if self.replies else self.default
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A running LoopbackServer, with the proxy environment cleared and an API key set."""
+    for var in PROXY_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    monkeypatch.setenv("TEXTEMO_API_KEY", "test-key")
+    server = LoopbackServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

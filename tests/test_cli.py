@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import threading
 import time
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from textemo.cli import main
 from textemo.corpus import KNOWN_ASR_MODELS
 from textemo.fixtures import generate_corpus, write_corpus
 
-from conftest import make_entry
+from conftest import Reply, make_entry
 
 
 @pytest.fixture
@@ -22,28 +21,11 @@ def fixture_corpus(tmp_path) -> Path:
 
 
 @pytest.fixture
-def rejecting_session(monkeypatch):
-    """Every HttpBackend posts through a session that answers HTTP 401; the
-    class counts the posts."""
-    import requests
-
-    class Response:
-        status_code = 401
-        text = "unauthorized"
-
-    class RejectingSession:
-        posts = 0
-        lock = threading.Lock()
-
-        def post(self, *args, **kwargs):
-            with RejectingSession.lock:
-                RejectingSession.posts += 1
-            time.sleep(0.002)  # network latency, so the other workers get to run
-            return Response()
-
-    monkeypatch.setenv("TEXTEMO_API_KEY", "test-key")
-    monkeypatch.setattr(requests, "Session", RejectingSession)
-    return RejectingSession
+def rejecting_session(loopback):
+    """A loopback endpoint that answers every POST with HTTP 401 after 2 ms of
+    latency, so the other workers get to run; it records the posts."""
+    loopback.script(default=Reply(401, body="unauthorized", delay=0.002))
+    return loopback
 
 
 class TestValidate:
@@ -61,6 +43,25 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+    def test_blank_transcriptions_are_counted(self, tmp_path, capsys):
+        path = tmp_path / "blank.json"
+        objects = [
+            make_entry("Ses01F_01_F000"),
+            make_entry("Ses01F_01_M001", models={"whispertiny": "", "hubertlarge": "   "}),
+            make_entry("Ses01F_01_F002", models={"whispertiny": "fine", "hubertlarge": "\t"}),
+        ]
+        path.write_text(json.dumps(objects))
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "blank: 3 transcription(s) are empty or whitespace only, first in Ses01F_01_M001",
+            "ok: 3 record(s)",
+        ]
+
+    def test_clean_file_reports_no_blanks(self, sample_corpus_file, capsys):
+        assert main(["validate", str(sample_corpus_file)]) == 0
+        assert "blank" not in capsys.readouterr().out
 
     def test_non_contiguous_script_warns(self, tmp_path, capsys, caplog):
         path = tmp_path / "split.json"
@@ -187,13 +188,14 @@ class TestAuthFailure:
         else:
             argv = ["refine", "--in", str(corpus), "--out", str(out_dir / "refined.json")]
             targets = len(objects)
-        argv += ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1/chat", "--concurrency", str(concurrency)]
+        argv += ["--backend", "http", "--endpoint", rejecting_session.url(), "--concurrency", str(concurrency)]
         assert main(argv) == 3
         assert "auth error:" in capsys.readouterr().err
+        posts = len(rejecting_session.received)
         if concurrency == 1:
-            assert rejecting_session.posts == 1
+            assert posts == 1
         else:
-            assert 1 <= rejecting_session.posts < targets
+            assert 1 <= posts < targets
         assert not out_dir.exists()  # no predictions, no retry manifest, no refined corpus
 
 
@@ -390,30 +392,14 @@ class TestMatrix:
         config.write_text(json.dumps({"experiments": [good, bad]}))
         assert main(["matrix", str(fixture_corpus), "--config", str(config)]) == 1
 
-    def test_http_rows_post_to_endpoint(self, tmp_path, fixture_corpus, monkeypatch):
-        import requests
-
-        class Response:
-            status_code = 200
-
-            def json(self):
-                return {"choices": [{"message": {"content": "sad"}}]}
-
-        class RecordingSession:
-            urls: list[str] = []
-
-            def post(self, url, **kwargs):
-                RecordingSession.urls.append(url)
-                return Response()
-
-        monkeypatch.setenv("TEXTEMO_API_KEY", "test-key")
-        monkeypatch.setattr(requests, "Session", RecordingSession)
+    def test_http_rows_post_to_endpoint(self, tmp_path, fixture_corpus, loopback):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"experiments": [{"name": "h", "text_source": "whispertiny", "backend": "http"}]}))
-        endpoint = "http://127.0.0.1:9/v1/chat"
+        endpoint = loopback.url("/v1/chat")
         argv = ["matrix", str(fixture_corpus), "--config", str(config), "--endpoint", endpoint, "--concurrency", "1"]
         assert main(argv) == 0
-        assert RecordingSession.urls and set(RecordingSession.urls) == {endpoint}
+        urls = [received.url for received in loopback.received]
+        assert urls and set(urls) == {endpoint}
 
     @pytest.mark.parametrize(
         "config, message",

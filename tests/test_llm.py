@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import base64
 import json
+import os
 import random
 import sys
 import time
@@ -23,6 +25,8 @@ from textemo.llm import (
     fan_out,
     normalize_label,
 )
+
+from conftest import Reply, chat_body
 
 # Computed once from the canonical JSON of this exact request; must never
 # drift across runs or platforms.
@@ -214,6 +218,27 @@ class TestCache:
             {"fingerprint": "bb" * 32, "raw_text": "x"},
         ]
 
+    def test_log_is_opened_once_on_the_first_store(self, tmp_path, monkeypatch):
+        opened = []
+        real_open = os.open
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counted_open)
+        cache = CompletionCache(tmp_path)
+        assert not cache.path.exists() and opened == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:  # eight threads race to make the first store
+            fan_out(lambda n: cache.store(f"{n:064x}", "sad"), range(64), concurrency=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert opened == [cache.path]
+        lines = cache.path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["fingerprint"] for line in lines) == [f"{n:064x}" for n in range(64)]
+
     def test_caches_sharing_a_directory_append_to_one_log(self, tmp_path):
         first, second = CompletionCache(tmp_path), CompletionCache(tmp_path)
         first.store("aa" * 32, "happy")
@@ -382,35 +407,23 @@ class TestHttpBackend:
         with pytest.raises(AuthError):
             HttpBackend()
 
-    def test_wire_format_and_parsing(self, monkeypatch):
+    def test_wire_format_and_parsing(self, loopback):
         from textemo.llm import HttpBackend
 
-        captured = {}
-
-        class FakeResponse:
-            status_code = 200
-
-            def json(self):
-                return {"choices": [{"message": {"content": "sad"}}]}
-
-        class FakeSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                captured["url"] = url
-                captured["body"] = json
-                captured["headers"] = headers
-                return FakeResponse()
-
-        backend = HttpBackend(endpoint="https://example.test/v1/chat", api_key="k", session=FakeSession())
+        endpoint = loopback.url("/v1/chat")
+        backend = HttpBackend(endpoint=endpoint, api_key="k")
         request = fixture_request("what emotion?")
         assert backend.send(request) == "sad"
-        assert captured["url"] == "https://example.test/v1/chat"
-        assert captured["body"] == {
+        (received,) = loopback.received
+        assert (received.method, received.url) == ("POST", endpoint)
+        assert received.body == {
             "model": "gpt-3.5-turbo",
             "messages": [{"role": "user", "content": "what emotion?"}],
             "temperature": 0.0,
             "max_tokens": 16,
         }
-        assert captured["headers"]["Authorization"] == "Bearer k"
+        assert received.headers["Authorization"] == "Bearer k"
+        assert received.headers["Content-Type"] == "application/json"
 
     @pytest.mark.parametrize(
         "status,exc",
@@ -425,60 +438,135 @@ class TestHttpBackend:
             (422, BadRequest),
         ],
     )
-    def test_status_mapping(self, status, exc):
+    def test_status_mapping(self, loopback, status, exc):
         from textemo.llm import HttpBackend
 
-        class FakeResponse:
-            status_code = status
-            text = "nope"
-
-            def json(self):
-                return {}
-
-        class FakeSession:
-            def post(self, *a, **k):
-                return FakeResponse()
-
-        backend = HttpBackend(api_key="k", session=FakeSession())
+        loopback.script(default=Reply(status, body="nope"))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
         with pytest.raises(exc):
             backend.send(fixture_request())
 
     @pytest.mark.parametrize("content", [None, 7, ["sad"]])
-    def test_non_string_content_is_a_malformed_body(self, tmp_path, content):
+    def test_non_string_content_is_a_malformed_body(self, loopback, tmp_path, content):
         from textemo.llm import HttpBackend
 
-        class FakeResponse:
-            status_code = 200
-
-            def json(self):
-                return {"choices": [{"message": {"content": content}}]}
-
-        class FakeSession:
-            def post(self, *a, **k):
-                return FakeResponse()
-
+        loopback.script(default=Reply(body=chat_body(content)))
         cache = CompletionCache(tmp_path)
-        backend = HttpBackend(api_key="k", session=FakeSession())
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
         with pytest.raises(BackendExhausted, match="malformed response body: content is"):
             complete(fixture_request(), backend, cache=cache, retry=no_sleep_policy(attempts=2))
         assert not cache.path.exists()
 
     @pytest.mark.parametrize("status,posts", [(400, 1), (404, 1), (422, 1), (408, 5), (500, 5), (503, 5)])
-    def test_client_errors_posted_once(self, status, posts):
+    def test_client_errors_posted_once(self, loopback, status, posts):
         from textemo.llm import HttpBackend
 
-        class FakeResponse:
-            status_code = status
-            text = "nope"
-
-        class CountingSession:
-            calls = 0
-
-            def post(self, *a, **k):
-                CountingSession.calls += 1
-                return FakeResponse()
-
-        backend = HttpBackend(api_key="k", session=CountingSession())
+        loopback.script(default=Reply(status, body="nope"))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
         with pytest.raises(BadRequest if posts == 1 else BackendExhausted):
             complete(fixture_request(), backend, retry=no_sleep_policy(attempts=5))
-        assert CountingSession.calls == posts
+        assert len(loopback.received) == posts
+
+    def test_endpoint_must_be_an_http_url(self):
+        from textemo.llm import HttpBackend
+
+        with pytest.raises(ValueError, match="not an http or https URL"):
+            HttpBackend(endpoint="ftp://example.test/v1/chat", api_key="k")
+
+    def test_refused_connection_is_a_transport_error(self, loopback):
+        from textemo.llm import HttpBackend
+
+        endpoint = loopback.url()
+        loopback.shutdown()
+        loopback.server_close()  # nothing listens on the port any more
+        backend = HttpBackend(endpoint=endpoint, api_key="k")
+        with pytest.raises(BackendExhausted, match="request failed"):
+            complete(fixture_request(), backend, retry=no_sleep_policy(attempts=2))
+
+    def test_one_keep_alive_connection_per_thread(self, loopback):
+        from textemo.llm import HttpBackend
+
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        assert [backend.send(fixture_request(f"p{n}")) for n in range(5)] == ["sad"] * 5
+        assert loopback.connections == 1
+        results = fan_out(backend.send, [fixture_request(f"q{n}") for n in range(30)], concurrency=3)
+        assert results == ["sad"] * 30
+        assert 2 <= loopback.connections <= 4  # the main thread's, plus one per worker thread
+
+    def test_connection_dropped_while_idle_is_reopened_without_an_attempt(self, loopback, caplog):
+        from textemo.llm import HttpBackend
+
+        loopback.script(default=Reply(close=True))  # no Connection: close header
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        sleeps: list[float] = []
+        policy = RetryPolicy(sleep=sleeps.append)
+        with caplog.at_level("WARNING"):
+            completions = [complete(fixture_request(f"p{n}"), backend, retry=policy) for n in range(6)]
+        assert [c.raw_text for c in completions] == ["sad"] * 6
+        assert len(loopback.received) == 6
+        assert loopback.connections == 6
+        assert sleeps == []
+        assert not [m for m in caplog.messages if "attempt" in m]
+
+    def test_retry_after_delta_seconds_is_slept(self, loopback):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(429, body="slow down", headers={"Retry-After": "3"}))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        with pytest.raises(RateLimited) as excinfo:
+            backend.send(fixture_request())
+        assert excinfo.value.retry_after == 3.0
+        loopback.script(Reply(429, body="slow down", headers={"Retry-After": "3"}))
+        sleeps: list[float] = []
+        completion = complete(fixture_request(), backend, retry=RetryPolicy(sleep=sleeps.append))
+        assert completion.raw_text == "sad"
+        assert sleeps == [3.0]
+
+    def test_retry_after_is_capped_at_the_largest_backoff(self, loopback):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(429, headers={"Retry-After": "3600"}))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        sleeps: list[float] = []
+        policy = RetryPolicy(attempts=3, base=1.0, factor=2.0, sleep=sleeps.append)
+        assert complete(fixture_request(), backend, retry=policy).raw_text == "sad"
+        assert sleeps == [4.0]
+
+    def test_retry_after_http_date_falls_back_to_backoff(self, loopback):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        sleeps: list[float] = []
+        assert complete(fixture_request(), backend, retry=RetryPolicy(sleep=sleeps.append)).raw_text == "sad"
+        assert len(sleeps) == 1 and 0.0 <= sleeps[0] <= 1.0
+
+    def test_http_proxy_receives_the_absolute_url(self, loopback, monkeypatch):
+        from textemo.llm import HttpBackend
+
+        monkeypatch.setenv("HTTP_PROXY", loopback.url("").replace("://", "://user:p%40ss@"))
+        endpoint = "http://api.example.invalid/v1/chat?x=1"
+        assert HttpBackend(endpoint=endpoint, api_key="k").send(fixture_request()) == "sad"
+        (received,) = loopback.received
+        assert received.target == endpoint
+        assert received.headers["Host"] == "api.example.invalid"
+        assert received.headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    def test_https_endpoint_behind_a_proxy_is_tunnelled(self, loopback, monkeypatch):
+        from textemo.llm import HttpBackend
+
+        monkeypatch.setenv("HTTPS_PROXY", loopback.url(""))
+        backend = HttpBackend(endpoint="https://api.example.invalid/v1/chat", api_key="k")
+        with pytest.raises(TransportError, match="request failed"):
+            backend.send(fixture_request())  # the loopback server refuses the tunnel
+        (received,) = loopback.received
+        assert (received.method, received.target) == ("CONNECT", "api.example.invalid:443")
+
+    def test_no_proxy_bypasses_the_proxy(self, loopback, monkeypatch):
+        from textemo.llm import HttpBackend
+
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+        assert HttpBackend(endpoint=loopback.url(), api_key="k").send(fixture_request()) == "sad"
+        (received,) = loopback.received
+        assert received.target == "/v1/chat"

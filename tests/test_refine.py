@@ -157,6 +157,23 @@ class TestRefineRecord:
         assert outcome.chosen == "Heya"
         assert outcome.chosen_source == SOURCE_ALL_SHORT
 
+    @pytest.mark.parametrize("blank", ["", " " * 30, "\n\t "])
+    def test_blank_candidate_is_never_chosen_over_text(self, blank):
+        record = make_record({"whispertiny": "i am fine thanks", "w2v2100": blank, "whisperbase": "ok"})
+        assert filter_transcriptions(record, RefinementConfig()) == [("whispertiny", "i am fine thanks")]
+        outcome = refine_record(record, RefinementConfig(selector="longest_only"))
+        assert (outcome.chosen, outcome.chosen_source) == ("i am fine thanks", SOURCE_LONGEST)
+        prompt = build_refine_prompt(filter_transcriptions(record, RefinementConfig(min_length=20)))
+        assert prompt.splitlines()[1:] == ["1. i am fine thanks", "2. ok"]
+        assert refine_record(record, RefinementConfig(min_length=20, selector="longest_only")).chosen_source == (
+            SOURCE_ALL_SHORT
+        )
+
+    def test_all_blank_candidates_are_kept(self):
+        record = make_record({"whispertiny": "", "w2v2100": "   "})
+        assert filter_transcriptions(record, RefinementConfig()) == [("whispertiny", ""), ("w2v2100", "   ")]
+        assert refine_record(record, RefinementConfig(selector="longest_only")).chosen == "   "
+
     def test_chosen_always_a_candidate(self, sample_record):
         # provenance: the selector may not invent text, whatever the response
         cfg = RefinementConfig(selector="llm")

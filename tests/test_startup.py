@@ -1,5 +1,6 @@
-"""What a fresh process imports: the package loads no stage module, and the
-CLI loads stage modules, and `requests`, only when a command runs them."""
+"""What a fresh process imports: the package loads no stage module; the CLI
+loads a stage module, or `http.client`, only when a command runs it; and an
+HTTP run works with `requests` unimportable."""
 
 from __future__ import annotations
 
@@ -13,16 +14,16 @@ import textemo
 from textemo.cli import main
 from textemo.fixtures import generate_corpus, write_corpus
 
-DEFERRED = ("requests", "textemo.experiments", "textemo.wer", "textemo.refine", "textemo.fixtures")
+DEFERRED = ("http.client", "textemo.experiments", "textemo.wer", "textemo.refine", "textemo.fixtures")
 
 PROBE = """
 import json, sys
 import textemo
 stages = [m for m in sys.modules if m.startswith("textemo.")]
 import textemo.cli
-before = "requests" in sys.modules
+before = "http.client" in sys.modules
 code = textemo.cli.main(sys.argv[1:])
-print(json.dumps({"stages_on_package_import": stages, "requests_on_import": before, "code": code,
+print(json.dumps({"stages_on_package_import": stages, "http_client_on_import": before, "code": code,
                   "loaded": [m for m in %r if m in sys.modules]}))
 """ % (DEFERRED,)
 
@@ -34,10 +35,30 @@ def test_evaluate_process_loads_no_unused_stage(tmp_path):
     assert main(["run", str(corpus), "--name", "demo", "--text-source", "whispertiny", "--out-dir", str(out_dir)]) == 0
 
     argv = ["evaluate", "--predictions", str(out_dir / "demo.predictions.json"), "--corpus", str(corpus)]
-    src = str(Path(textemo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", PROBE, *argv], env=_env(), capture_output=True, text=True, timeout=60, check=True
     )
     probe = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert probe == {"stages_on_package_import": [], "requests_on_import": False, "code": 0, "loaded": []}
+    assert probe == {"stages_on_package_import": [], "http_client_on_import": False, "code": 0, "loaded": []}
+
+
+def test_http_run_needs_no_requests(tmp_path, loopback):
+    corpus = tmp_path / "corpus.json"
+    objects = generate_corpus(seed=21, n_records=25)
+    write_corpus(objects, corpus)
+    out_dir = tmp_path / "runs"
+    argv = ["run", str(corpus), "--name", "demo", "--text-source", "whispertiny", "--backend", "http"]
+    argv += ["--endpoint", loopback.url(), "--out-dir", str(out_dir), "--concurrency", "2"]
+    probe = 'import sys; sys.modules["requests"] = None; import textemo.cli; sys.exit(textemo.cli.main(sys.argv[1:]))'
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    targets = sum(obj["need_prediction"] == "yes" for obj in objects)
+    assert len(loopback.received) == targets
+    predictions = json.loads((out_dir / "demo.predictions.json").read_text(encoding="utf-8"))
+    assert len(predictions) == targets and {p["prediction"] for p in predictions} == {"sad"}
+
+
+def _env() -> dict[str, str]:
+    """This environment, with the source tree importable."""
+    src = str(Path(textemo.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
