@@ -57,8 +57,19 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
 def _add_request_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoint", default=DEFAULT_ENDPOINT, help="chat-completions URL (http backend)")
     parser.add_argument("--cache-dir", default=None, help="completion cache directory")
-    parser.add_argument("--concurrency", type=int, default=4)
+    parser.add_argument("--concurrency", type=_at_least_one, default=4)
     parser.add_argument("--mock-seed", type=int, default=0)
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of --concurrency; a failure is a usage error (exit 2)."""
+    try:
+        value: int | None = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
 
 
 def _add_ua_definition_arg(parser: argparse.ArgumentParser) -> None:

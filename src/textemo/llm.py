@@ -456,11 +456,14 @@ def _send_with_retries(request: CompletionRequest, fp: str, backend: Backend, re
 
 
 def fan_out(fn: Callable[[T], R], items: Sequence[T], concurrency: int) -> list[R | BackendError]:
-    """fn over items on up to ``concurrency`` threads (serially at <= 1), in input order.
+    """fn over items on up to ``concurrency`` threads (on the calling thread at 1), in input order.
 
-    A BackendError takes its item's place in the result. AuthError, which
-    every other request would repeat, and any other exception propagate;
-    Executor.map then cancels the items not yet started.
+    Each worker thread takes the next index from a shared iterator and writes
+    its result into that slot. A BackendError takes its item's place in the
+    result. AuthError, which every other request would repeat, and any other
+    exception stop the workers from starting new items; once the running ones
+    finish, the failure of the lowest-index item propagates. An exception in
+    the caller while it waits, such as an interrupt, stops them the same way.
     """
 
     def one(item: T) -> R | BackendError:
@@ -473,8 +476,32 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T], concurrency: int) -> list[
 
     if concurrency <= 1 or len(items) <= 1:
         return [one(item) for item in items]
-    # Imported here: commands that never fan out (evaluate, validate) skip it.
-    from concurrent.futures import ThreadPoolExecutor
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(one, items))
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = one(items[i])
+            except BaseException as exc:  # raised again on the calling thread
+                failures[i] = exc
+                stop.set()
+
+    threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        stop.set()
+    if failures:
+        raise failures[min(failures)]
+    return results

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, is_blank
 from .metrics import EVAL_LABELS
 
 # Emotion classes of the aggregate report: the 4 target labels, a catch-all
@@ -30,6 +30,12 @@ from .metrics import EVAL_LABELS
 REPORT_CLASSES = EVAL_LABELS + ("other", "overall")
 
 _CLEAN_RE = re.compile(r"[^a-z0-9']+")
+# The same cleaning for ASCII text in one str.translate pass, as a table
+# indexed by code point: A-Z lowercased, every other character outside
+# [a-z0-9'] a space.
+_ASCII_CLEAN = "".join(
+    c.lower() if c.isupper() else c if c.islower() or c.isdigit() or c == "'" else " " for c in map(chr, range(128))
+)
 
 
 class EmptyReference(ValueError):
@@ -46,10 +52,16 @@ class NormalizedTokens:
         return len(self.tokens)
 
 
+def _tokenize(text: str) -> list[str]:
+    # Non-ASCII text takes the regex: some of it lowers to ASCII ("İ", the Kelvin sign "K").
+    if text.isascii():
+        return text.translate(_ASCII_CLEAN).split()
+    return _CLEAN_RE.sub(" ", text.lower()).split()
+
+
 def normalize(text: str) -> NormalizedTokens:
     """Lowercase, strip everything outside [a-z0-9'] to spaces, split."""
-    tokens = _CLEAN_RE.sub(" ", text.lower()).split()
-    return NormalizedTokens(tokens=tuple(tokens))
+    return NormalizedTokens(tokens=tuple(_tokenize(text)))
 
 
 class EditOps(NamedTuple):
@@ -134,41 +146,46 @@ def _match_masks(ref: Sequence[str]) -> dict[str, int]:
     return masks
 
 
-def _bit_distance(masks: dict[str, int], m: int, hyp: Sequence[str]) -> int:
-    """Levenshtein distance between the m-token reference behind `masks` and hyp.
+def _bit_distance(ref: Sequence[str], masks: dict[str, int], hyp: Sequence[str]) -> int:
+    """Levenshtein distance between ref, whose match masks are `masks`, and hyp.
 
-    Column j of the DP matrix is held as two m-bit vectors: bit i of vp (vn)
-    is set where D[i+1][j] - D[i][j] is +1 (-1). Each hypothesis token
-    advances the column in O(1) big-int operations, and d tracks D[m][j].
-    Row 0 is D[0][j] = j, so a +1 is shifted in at the bottom of each step.
-    Bits above m-1 never reach lower ones (carries and shifts only move
-    up), so masking vp alone is enough to keep every vector near m bits.
+    Equal tokens at either end are matched on an optimal alignment, so they
+    are trimmed first. The masks are not rebuilt for the m-token remainder:
+    each is shifted right by the prefix length as it is read, and the
+    suffix's bits sit above bit m-1. Column j of the DP matrix is held as two
+    bit vectors: bit i of vp (vn) is set where D[i+1][j] - D[i][j] is +1
+    (-1). Each hypothesis token advances the column in O(1) big-int
+    operations. Row 0 is D[0][j] = j, so a +1 is shifted in at the bottom of
+    each step, and D[m][n] = n + popcount(vp) - popcount(vn) is read once at
+    the end. Bits above m-1 never reach lower ones (carries and shifts only
+    move up), so masking vp each step and vn at the end is enough.
     """
-    if not m:
-        return len(hyp)
+    m, n = len(ref), len(hyp)
+    k = 0
+    while k < m and k < n and ref[k] == hyp[k]:
+        k += 1
+    while m > k and n > k and ref[m - 1] == hyp[n - 1]:
+        m, n = m - 1, n - 1
+    hyp = hyp[k:n]
+    m, n = m - k, n - k
+    if not m or not n:
+        return m + n
     full = (1 << m) - 1
-    last = 1 << (m - 1)
-    vp, vn, d = full, 0, m
+    vp, vn = full, 0
     get = masks.get
     for token in hyp:
-        eq = get(token, 0)
+        eq = get(token, 0) >> k
         d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | ~(d0 | vp)
-        hn = d0 & vp
-        if hp & last:
-            d += 1
-        elif hn & last:
-            d -= 1
-        hp = (hp << 1) | 1
-        vp = ((hn << 1) | ~(d0 | hp)) & full
+        hp = (vn | ~(d0 | vp)) << 1 | 1
+        vp = ((d0 & vp) << 1 | ~(d0 | hp)) & full
         vn = hp & d0
-    return d
+    return n + vp.bit_count() - (vn & full).bit_count()
 
 
 def distance(ref: NormalizedTokens | Sequence[str], hyp: NormalizedTokens | Sequence[str]) -> int:
     """Unit-cost token edit distance; equals edit_distance(ref, hyp).total."""
     a = _tokens(ref)
-    return _bit_distance(_match_masks(a), len(a), _tokens(hyp))
+    return _bit_distance(a, _match_masks(a), _tokens(hyp))
 
 
 def wer(ref: NormalizedTokens | Sequence[str], hyp: NormalizedTokens | Sequence[str]) -> float:
@@ -224,8 +241,8 @@ class WerReport:
 
 
 def emotion_class(label: str | None) -> str | None:
-    """Map an emotion label to a report class; None when no label."""
-    if label is None:
+    """Map an emotion label to a report class; None when the label is missing or blank."""
+    if is_blank(label):
         return None
     lowered = label.strip().lower()
     return lowered if lowered in EVAL_LABELS else "other"
@@ -251,19 +268,19 @@ def wer_report(corpus: Corpus) -> WerReport:
         if cls is None:
             skipped["no_emotion"] = skipped.get("no_emotion", 0) + 1
             continue
-        ref = normalize(rec.ground_truth)
-        if not ref.tokens:
+        ref = _tokenize(rec.ground_truth)
+        if not ref:
             skipped["empty_reference"] = skipped.get("empty_reference", 0) + 1
             continue
 
         class_counts[cls] = class_counts.get(cls, 0) + 1
         class_counts["overall"] = class_counts.get("overall", 0) + 1
-        masks, ref_len = _match_masks(ref.tokens), len(ref.tokens)
+        masks, ref_len = _match_masks(ref), len(ref)
         by_text: dict[str, int] = {}
         for model, hyp_text in rec.transcriptions.items():
             dist = by_text.get(hyp_text)
             if dist is None:
-                dist = by_text[hyp_text] = _bit_distance(masks, ref_len, normalize(hyp_text).tokens)
+                dist = by_text[hyp_text] = _bit_distance(ref, masks, _tokenize(hyp_text))
             counts = tally.get((model, cls))
             if counts is None:
                 counts = tally[model, cls] = [0, 0, 0]

@@ -132,6 +132,20 @@ class TestRefine:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["refine", "run", "matrix"])
+    def test_concurrency_below_one_is_a_usage_error(self, tmp_path, fixture_corpus, capsys, command, value):
+        argv = {
+            "refine": ["refine", "--in", fixture_corpus, "--out", tmp_path / "out.json"],
+            "run": ["run", fixture_corpus, "--text-source", "whispertiny", "--out-dir", tmp_path / "runs"],
+            "matrix": ["matrix", fixture_corpus, "--out-dir", tmp_path / "matrix"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(arg) for arg in argv] + ["--concurrency", value])
+        assert excinfo.value.code == 2
+        assert "--concurrency: expected an integer of at least 1" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.json"]
+
     def test_non_string_cached_raw_text_is_recomputed(self, tmp_path, fixture_corpus):
         cache = tmp_path / "cache"
         argv = ["refine", "--in", str(fixture_corpus), "--selector", "llm", "--backend", "mock"]

@@ -4,7 +4,9 @@ import base64
 import json
 import os
 import random
+import signal
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -336,6 +338,65 @@ class TestFanOut:
         with pytest.raises(exc_type, match="item 0"):
             fan_out(fail, list(range(50)), concurrency)
         assert (started == [0]) if concurrency == 1 else (len(started) < 50)
+
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_the_lowest_index_failure_propagates(self, concurrency):
+        def fail_first_two(n):
+            if n == 0:
+                time.sleep(0.02)
+            if n < 2:
+                raise AuthError(f"item {n}")
+            return n
+
+        with pytest.raises(AuthError, match="item 0"):
+            fan_out(fail_first_two, list(range(8)), concurrency)
+
+    @pytest.mark.parametrize("concurrency", [2, 3])
+    def test_at_most_concurrency_threads_call_fn(self, concurrency):
+        idents = set()
+
+        def record(n):
+            idents.add(threading.get_ident())
+            time.sleep(0.001)
+            return n
+
+        assert fan_out(record, list(range(40)), concurrency) == list(range(40))
+        assert 1 <= len(idents) <= concurrency
+
+    def test_concurrency_one_runs_on_the_calling_thread(self):
+        idents = fan_out(lambda n: threading.get_ident(), list(range(5)), 1)
+        assert idents == [threading.get_ident()] * 5
+
+    def test_every_item_runs_once_under_contention(self):
+        calls = Counter()
+
+        def count(n):
+            calls[n] += 1
+            return -n
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:  # more threads than cores race for the next index
+            results = fan_out(count, list(range(3000)), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-n for n in range(3000)]
+        assert calls == Counter(range(3000))
+
+    def test_an_interrupt_while_waiting_stops_new_items(self):
+        started = []
+
+        def interrupt_at_first(n):
+            started.append(n)
+            if n == 0:  # what Ctrl-C does: KeyboardInterrupt in the main thread
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.01)
+            return n
+
+        with pytest.raises(KeyboardInterrupt):
+            fan_out(interrupt_at_first, list(range(200)), 2)
+        time.sleep(0.1)  # the items already running finish
+        assert len(started) < 200
 
 
 class TestRetry:

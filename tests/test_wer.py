@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,26 @@ class TestNormalize:
         for token in tokens:
             assert token
             assert not any(ch.isspace() for ch in token)
+
+    # "İ" and the Kelvin sign lower to ASCII letters; "ß" and fullwidth digits stay outside [a-z0-9'].
+    TRICKY = "İ\u212aßẞ\uff10\uff19é\u00a0\u3000"
+    ASCII = string.ascii_letters + string.digits + string.punctuation + " \t\n\r\x0b\x0c\x00\x7f"
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.text(max_size=60),
+            st.text(alphabet=ASCII, max_size=60),
+            st.text(alphabet=ASCII + TRICKY, max_size=60),
+        )
+    )
+    def test_matches_the_regex_reference(self, text):
+        assert list(normalize(text).tokens) == re.sub(r"[^a-z0-9']+", " ", text.lower()).split()
+
+    def test_every_ascii_character(self):
+        for code in range(128):
+            text = f"a{chr(code)}b"
+            assert list(normalize(text).tokens) == re.sub(r"[^a-z0-9']+", " ", text.lower()).split(), code
 
 
 class TestEditDistance:
@@ -183,6 +205,34 @@ class TestDistance:
         hyp += rng.choices("abxy", k=max(0, hyp_len - len(hyp)))
         assert distance(ref, hyp) == sum(dp_edit_ops(ref, hyp))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=6),
+        st.lists(st.sampled_from("abcd"), max_size=6),
+        st.lists(st.sampled_from("abcd"), max_size=6),
+        st.lists(st.sampled_from("abc"), max_size=6),
+    )
+    def test_shared_prefix_and_suffix(self, prefix, x, y, suffix):
+        a, b = prefix + x + suffix, prefix + y + suffix
+        assert distance(a, b) == sum(dp_edit_ops(a, b))
+        assert distance(b, a) == sum(dp_edit_ops(b, a))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("p q", "p x q"),  # the reference is empty after trimming
+            ("p x q", "p q"),  # the hypothesis is empty after trimming
+            ("p q p q", "p q"),
+            ("a a a", "a a"),
+            ("a b a", "a b a b a"),
+            ("p " * 70 + "x " + "s " * 70, "p " * 70 + "y z " + "s " * 70),
+        ],
+    )
+    def test_trimmed_ends(self, a, b):
+        a, b = a.split(), b.split()
+        assert distance(a, b) == sum(dp_edit_ops(a, b))
+        assert distance(b, a) == sum(dp_edit_ops(b, a))
+
     def test_empty_sides(self):
         assert distance([], []) == 0
         assert distance([], ["a", "b"]) == 2
@@ -241,6 +291,10 @@ class TestEmotionClass:
 
     def test_missing(self):
         assert emotion_class(None) is None
+
+    @pytest.mark.parametrize("label", ["", "  ", "\t\n"])
+    def test_blank_is_missing(self, label):
+        assert emotion_class(label) is None
 
 
 class TestWerReport:
@@ -302,6 +356,15 @@ class TestWerReport:
         report = wer_report(build_corpus(objects))
         assert report.skipped == {"no_emotion": 1, "no_ground_truth": 1, "empty_reference": 1}
         assert report.class_counts["overall"] == 1
+
+    def test_blank_emotion_is_skipped_like_a_missing_one(self):
+        objects = [
+            make_entry("Ses01F_01_F000", emotion="sad", ground_truth="hello there you"),
+            make_entry("Ses01F_01_F001", emotion="  ", ground_truth="hello there you"),
+        ]
+        report = wer_report(build_corpus(objects))
+        assert report.skipped == {"no_emotion": 1}
+        assert report.class_counts == {"sad": 1, "overall": 1}
 
     def test_other_class_bucket(self):
         objects = [
