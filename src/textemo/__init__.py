@@ -6,7 +6,17 @@ evaluation. See the cli module for the batch entry points.
 
 Names are imported from their stage module (``from textemo.corpus import
 load_corpus``), so ``import textemo`` loads no stage, and a command loads
-only the stages it runs.
+only the stages it runs. The backend option values below are the exception:
+every CLI process builds the whole parser, which names them, so they live
+here rather than in ``textemo.llm``, and a command that sends no request
+does not load the backend module.
 """
 
 __version__ = "0.1.0"
+
+# Annotator backend kinds (``--backend``, and a matrix row's "backend").
+BACKEND_HTTP = "http"
+BACKEND_MOCK = "mock"  # the default
+BACKEND_KINDS = (BACKEND_HTTP, BACKEND_MOCK)
+DEFAULT_MODEL = "gpt-3.5-turbo"
+DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"

@@ -18,23 +18,18 @@ import logging
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-# Commands import the other stage modules in their own bodies, so a process
-# loads only what its subcommand runs: a matrix pass starts one `evaluate`
-# process per row, and start-up is most of each one's time.
+# Commands import the other stage modules, the backend layer `llm` among
+# them, in their own bodies, so a process loads only what its subcommand
+# runs: a matrix pass starts one `evaluate` process per row, and start-up is
+# most of each one's time.
+from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL
 from . import corpus as corpus_mod
 from . import metrics
-from .llm import (
-    BACKEND_KINDS,
-    BACKEND_MOCK,
-    DEFAULT_ENDPOINT,
-    DEFAULT_MODEL,
-    AuthError,
-    BackendError,
-    CompletionCache,
-    fan_out,
-    make_backend,
-)
+
+if TYPE_CHECKING:
+    from .llm import CompletionCache
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +40,8 @@ EXIT_BACKEND = 3
 
 
 def _make_cache(args: argparse.Namespace) -> CompletionCache | None:
+    from .llm import CompletionCache
+
     return CompletionCache(args.cache_dir) if args.cache_dir else None
 
 
@@ -107,6 +104,7 @@ def cmd_wer(args: argparse.Namespace) -> int:
 
 def cmd_refine(args: argparse.Namespace) -> int:
     from . import refine as refine_mod
+    from .llm import BackendError, fan_out, make_backend
 
     objects = corpus_mod.read_objects(args.infile)
     corpus = corpus_mod.build_corpus(objects, strict=args.strict)
@@ -143,6 +141,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .experiments import ExperimentSpec, load_templates, run_experiment, write_run_artifacts
+    from .llm import make_backend
 
     corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
     spec = ExperimentSpec(
@@ -344,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except AuthError as exc:
+    except _auth_error() as exc:
         print(f"auth error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except OSError as exc:
@@ -353,6 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # SchemaError, JSONDecodeError, UnicodeDecodeError, EmptyInput, bad options
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+
+
+def _auth_error() -> tuple[type[Exception], ...]:
+    """`llm.AuthError` once a command has loaded the backend layer; before that nothing can raise it."""
+    llm = sys.modules.get(f"{__package__}.llm")
+    return () if llm is None else (llm.AuthError,)
 
 
 if __name__ == "__main__":

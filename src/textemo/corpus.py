@@ -26,10 +26,9 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -50,11 +49,11 @@ KNOWN_ASR_MODELS = frozenset(
     }
 )
 
-# Object keys that are metadata rather than ASR transcriptions.
-_RESERVED_KEYS = frozenset({"id", "speaker", "emotion", "need_prediction"})
 _GROUND_TRUTH_KEYS = ("Ground truth", "ground_truth", "groundtruth")
 # The refined transcription `refine` writes; also a text source name.
 ENSEMBLE_KEY = "ensemble"
+# Object keys that are not ASR transcriptions.
+_NON_TRANSCRIPTION_KEYS = frozenset({"id", "speaker", "emotion", "need_prediction", ENSEMBLE_KEY, *_GROUND_TRUTH_KEYS})
 
 # Context modes: the grouping a context window is sliced from.
 MODE_SESSION = "session"
@@ -65,11 +64,12 @@ KIND_SCRIPT = "script"
 KIND_IMPRO = "impro"
 KIND_BARE = "bare"
 
-_HEAD_RE = re.compile(r"^Ses(\d{2})([A-Z])$")
-_TAIL_RE = re.compile(r"^([FM])(\d{3})$")
-_SCRIPT_RE = re.compile(r"^script(\d{2})$")
-_IMPRO_RE = re.compile(r"^impro(\d{2})$")
-_BARE_RE = re.compile(r"^(\d{2})$")
+# One pattern per id segment, each matched against the whole segment.
+_HEAD_RE = re.compile(r"Ses(\d{2})([A-Z])")
+_TAIL_RE = re.compile(r"([FM])(\d{3})")
+_SCRIPT_RE = re.compile(r"script(\d{2})")
+_IMPRO_RE = re.compile(r"impro(\d{2})")
+_BARE_RE = re.compile(r"(\d{2})")
 
 
 class MalformedId(ValueError):
@@ -114,12 +114,12 @@ class UtteranceId:
         prefix = {KIND_SCRIPT: "script", KIND_IMPRO: "impro"}.get(self.dialogue_kind, "")
         return f"{prefix}{self.dialogue_index:02d}"
 
-    @cached_property
+    @property
     def session_key(self) -> str:
         """Conversation identity: session number plus recording letter."""
         return f"Ses{self.session:02d}{self.recording}"
 
-    @cached_property
+    @property
     def script_key(self) -> str:
         """Grouping key shared by all subsets and utterances of one script."""
         return f"{self.session_key}/{self._dialogue()}"
@@ -141,7 +141,7 @@ def parse_id(raw: str) -> UtteranceId:
     if len(parts) > 4:
         raise MalformedId(raw, "too many underscore-separated segments")
 
-    head = _HEAD_RE.match(parts[0])
+    head = _HEAD_RE.fullmatch(parts[0])
     if not head:
         raise MalformedId(
             raw,
@@ -152,7 +152,7 @@ def parse_id(raw: str) -> UtteranceId:
         raise MalformedId(raw, f"session {head.group(1)} outside 01..05")
     recording = head.group(2)
 
-    tail = _TAIL_RE.match(parts[-1])
+    tail = _TAIL_RE.fullmatch(parts[-1])
     if not tail:
         raise MalformedId(
             raw,
@@ -164,7 +164,7 @@ def parse_id(raw: str) -> UtteranceId:
     middle = parts[1:-1]
     subset: int | None = None
     if len(middle) == 2:
-        script = _SCRIPT_RE.match(middle[0])
+        script = _SCRIPT_RE.fullmatch(middle[0])
         if not script:
             raise MalformedId(
                 raw, f"subset segment is only allowed after a 'scriptNN' segment, got {middle[0]!r}"
@@ -176,11 +176,11 @@ def parse_id(raw: str) -> UtteranceId:
         subset = int(middle[1])
     else:
         seg = middle[0]
-        if m := _SCRIPT_RE.match(seg):
+        if m := _SCRIPT_RE.fullmatch(seg):
             kind, dialogue_index = KIND_SCRIPT, int(m.group(1))
-        elif m := _IMPRO_RE.match(seg):
+        elif m := _IMPRO_RE.fullmatch(seg):
             kind, dialogue_index = KIND_IMPRO, int(m.group(1))
-        elif m := _BARE_RE.match(seg):
+        elif m := _BARE_RE.fullmatch(seg):
             kind, dialogue_index = KIND_BARE, int(m.group(1))
         else:
             raise MalformedId(
@@ -272,7 +272,7 @@ def record_from_object(obj: Mapping, position: int, strict: bool = False) -> Utt
 
     transcriptions: dict[str, str] = {}
     for key, value in obj.items():
-        if key in _RESERVED_KEYS or key in _GROUND_TRUTH_KEYS or key == ENSEMBLE_KEY:
+        if key in _NON_TRANSCRIPTION_KEYS:
             continue
         if not isinstance(value, str):
             raise SchemaError(position, key, "transcription values must be strings")
@@ -388,12 +388,18 @@ def write_corpus(objects: list[dict], path: str | Path) -> None:
 
 
 def read_objects(path: str | Path) -> list[dict]:
-    """Read a JSON-array or JSON-lines corpus file (auto-detected)."""
-    stripped = read_text(path).strip()
+    """Read a JSON-array or JSON-lines corpus file (auto-detected).
+
+    JSON lines are split at line feeds alone, since a JSON string may hold
+    other line separators (U+2028, U+0085) unescaped. An error names the
+    line's number in the file, blank lines counted.
+    """
+    text = read_text(path)
+    stripped = text.strip()
     if not stripped:
         raise SchemaError(0, None, "file is empty")
     if stripped.startswith("["):
-        data = read_json(path, stripped)
+        data = read_json(path, text)  # unstripped, so an error's line number is the file's
         if not isinstance(data, list):
             raise SchemaError(0, None, "top-level JSON value is not an array")
         return data
@@ -404,7 +410,7 @@ def read_objects(path: str | Path) -> list[dict]:
     if isinstance(single, dict):
         return [single]
     objects = []
-    for lineno, line in enumerate(stripped.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -19,13 +19,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
+from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL
 from .context import build_context, check_text_source, format_context, resolve_text, source_text
 from .corpus import CONTEXT_MODES, MODE_SESSION, Corpus, UtteranceRecord, read_json, write_json
 from .llm import (
-    BACKEND_KINDS,
-    BACKEND_MOCK,
-    DEFAULT_ENDPOINT,
-    DEFAULT_MODEL,
     DEFAULT_RETRY,
     Backend,
     BackendError,

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
+from . import BACKEND_MOCK, DEFAULT_ENDPOINT
 from .metrics import EVAL_LABELS
 
 if TYPE_CHECKING:
@@ -44,12 +45,6 @@ logger = logging.getLogger(__name__)
 # The order MockBackend indexes by hash: changing it changes every mock prediction.
 MOCK_LABEL_ORDER = ("happy", "sad", "neutral", "angry")
 
-BACKEND_HTTP = "http"
-BACKEND_MOCK = "mock"  # the default
-BACKEND_KINDS = (BACKEND_HTTP, BACKEND_MOCK)
-DEFAULT_MODEL = "gpt-3.5-turbo"
-
-DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
 
 _LABEL_RE = re.compile(rf"\b({'|'.join(EVAL_LABELS)})\b")

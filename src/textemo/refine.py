@@ -13,8 +13,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+from . import DEFAULT_MODEL
 from .corpus import UtteranceRecord, is_blank
-from .llm import DEFAULT_MODEL, Backend, CompletionCache, CompletionRequest, complete
+from .llm import Backend, CompletionCache, CompletionRequest, complete
 
 logger = logging.getLogger(__name__)
 

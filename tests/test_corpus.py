@@ -69,6 +69,8 @@ class TestParseId:
             "Ses01F_script01_3_M0234",  # 4-digit utterance index
             "Ses01F_script01_3_3_M023",  # too many segments
             "Ses01F_dialog01_M023",  # unknown middle keyword
+            "Ses01F_impro01_F000\n",  # trailing newline
+            "Ses01F\n_impro01_F000",  # newline ending the first segment
         ],
     )
     def test_malformed(self, raw):
@@ -222,6 +224,27 @@ class TestLoadCorpus:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         corpus = load_corpus(path)
         assert [rec.id.raw for rec in corpus.records] == ["Ses01F_01_F000", "Ses01F_01_M000"]
+
+    def test_json_lines_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n\n" + json.dumps(make_entry("Ses01F_01_F000")) + '\n{"id": "Ses01F_01_M000",\n')
+        with pytest.raises(ValueError, match=r"line 4 is not valid JSON"):
+            load_corpus(path)
+
+    def test_json_array_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text("\n\n[\n" + json.dumps(make_entry("Ses01F_01_F000")) + ",\n{bad\n]\n")
+        with pytest.raises(ValueError, match=r": line 5 column"):
+            load_corpus(path)
+
+    def test_json_lines_split_at_line_feeds_only(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        entries = [make_entry("Ses01F_01_F000"), make_entry("Ses01F_01_M000")]
+        entries[0]["whispertiny"] = "one\u2028two\x85three"
+        path.write_text("\n".join(json.dumps(e, ensure_ascii=False) for e in entries) + "\n", encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.records[0].transcriptions["whispertiny"] == "one\u2028two\x85three"
+        assert len(corpus.records) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,6 +1,6 @@
 """What a fresh process imports: the package loads no stage module; the CLI
-loads a stage module, or `http.client`, only when a command runs it; and an
-HTTP run works with `requests` unimportable."""
+loads a stage module, the backend layer `textemo.llm` or `http.client` only
+when a command runs it; and an HTTP run works with `requests` unimportable."""
 
 from __future__ import annotations
 
@@ -10,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import textemo
 from textemo.cli import main
 from textemo.fixtures import generate_corpus, write_corpus
 
-DEFERRED = ("http.client", "textemo.experiments", "textemo.wer", "textemo.refine", "textemo.fixtures")
+DEFERRED = ("http.client", "textemo.llm", "textemo.experiments", "textemo.wer", "textemo.refine", "textemo.fixtures")
 
 PROBE = """
 import json, sys
@@ -35,11 +37,19 @@ def test_evaluate_process_loads_no_unused_stage(tmp_path):
     assert main(["run", str(corpus), "--name", "demo", "--text-source", "whispertiny", "--out-dir", str(out_dir)]) == 0
 
     argv = ["evaluate", "--predictions", str(out_dir / "demo.predictions.json"), "--corpus", str(corpus)]
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=_env(), capture_output=True, text=True, timeout=60, check=True
-    )
-    probe = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert probe == {"stages_on_package_import": [], "http_client_on_import": False, "code": 0, "loaded": []}
+    assert _probe(argv) == {"stages_on_package_import": [], "http_client_on_import": False, "code": 0, "loaded": []}
+
+
+@pytest.mark.parametrize("command, stages", [("validate", []), ("wer", ["textemo.wer"])], ids=["validate", "wer"])
+def test_corpus_command_process_loads_only_its_stage(tmp_path, command, stages):
+    corpus = tmp_path / "corpus.json"
+    write_corpus(generate_corpus(seed=21, n_records=25), corpus)
+    assert _probe([command, str(corpus)]) == {
+        "stages_on_package_import": [],
+        "http_client_on_import": False,
+        "code": 0,
+        "loaded": stages,
+    }
 
 
 def test_http_run_needs_no_requests(tmp_path, loopback):
@@ -56,6 +66,14 @@ def test_http_run_needs_no_requests(tmp_path, loopback):
     assert len(loopback.received) == targets
     predictions = json.loads((out_dir / "demo.predictions.json").read_text(encoding="utf-8"))
     assert len(predictions) == targets and {p["prediction"] for p in predictions} == {"sad"}
+
+
+def _probe(argv: list[str]) -> dict:
+    """What a fresh process running the CLI on argv imported, and its exit code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], env=_env(), capture_output=True, text=True, timeout=60, check=True
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _env() -> dict[str, str]:
