@@ -31,7 +31,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 from . import BACKEND_MOCK, DEFAULT_ENDPOINT
 from .metrics import EVAL_LABELS
@@ -49,8 +49,14 @@ API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
 
 _LABEL_RE = re.compile(rf"\b({'|'.join(EVAL_LABELS)})\b")
 _PUNCT_RE = re.compile(r"[^a-z0-9']+")
-# The delta-seconds form of Retry-After (RFC 9110 section 10.2.3); the HTTP-date form is not honoured.
-_DELTA_SECONDS_RE = re.compile(r"[0-9]+")
+# Content-Length, and the delta-seconds form of Retry-After (RFC 9110 section 10.2.3); the HTTP-date form is not honoured.
+_DIGITS_RE = re.compile(r"[0-9]+")
+_HEX_RE = re.compile(rb"[0-9A-Fa-f]+")
+_STATUS_RE = re.compile(rb"[1-9][0-9][0-9]")
+_CONTROL_RE = re.compile(r"[\x00-\x20\x7f]")
+# Limits http.client keeps on a reply: bytes per line, and header lines per head.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -188,15 +194,17 @@ class MockBackend:
 
 
 class HttpBackend:
-    """Chat-completions client over the standard library's ``http.client``.
+    """Chat-completions client that speaks HTTP/1.1 over keep-alive sockets.
 
-    Each thread keeps one keep-alive connection, to the endpoint or to its
-    proxy. The proxy comes from the environment (``http_proxy``,
-    ``https_proxy``, ``all_proxy``, ``no_proxy``), read once here: an
-    ``http`` endpoint behind a proxy is requested from it by absolute URL, an
-    ``https`` one through a CONNECT tunnel. TLS is verified against the
-    system CA store. ``http.client`` is imported here, not with this module,
-    so commands that never build an HTTP backend do not load it.
+    Each thread keeps one connection, to the endpoint or to its proxy. The
+    proxy comes from the environment (``http_proxy``, ``https_proxy``,
+    ``all_proxy``, ``no_proxy``), read once here: an ``http`` endpoint
+    behind a proxy is requested from it by absolute URL, an ``https`` one
+    through a CONNECT tunnel. TLS is verified against the system CA store.
+    ``http.client`` opens each connection, tunnel and TLS included; the
+    requests and replies on it are framed by ``_Connection``. ``http.client``
+    and ``ssl`` are imported here, not with this module, so commands that
+    never build an HTTP backend do not load them.
     """
 
     def __init__(self, endpoint: str = DEFAULT_ENDPOINT, api_key: str | None = None, timeout: float = 60.0):
@@ -215,8 +223,8 @@ class HttpBackend:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint {endpoint!r} is not an http or https URL")
         self.endpoint = endpoint
-        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         address = (url.hostname, url.port)
         self._tunnel: tuple | None = None
         proxies = getproxies()
@@ -227,11 +235,20 @@ class HttpBackend:
                 raise ValueError(f"proxy {proxy!r} is not an http URL")
             proxy_headers = _proxy_auth(proxy_url)
             if url.scheme == "http":
-                self._target = url._replace(fragment="").geturl()
-                self._headers.update(proxy_headers)
+                target = url._replace(fragment="").geturl()
+                headers.update(proxy_headers)
             else:
                 self._tunnel = (*address, proxy_headers)
             address = (proxy_url.hostname, proxy_url.port)
+        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        if url.port not in (None, 443 if url.scheme == "https" else 80):
+            host += f":{url.port}"
+        if _CONTROL_RE.search(target + host) or any("\r" in value or "\n" in value for value in headers.values()):
+            raise ValueError(f"endpoint {endpoint!r} or its headers hold a control character")
+        # Every request is _head, the body's length, _tail and the body, in the header order http.client used.
+        head = f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\nContent-Length: "
+        self._head = head.encode("latin-1")
+        self._tail = "".join(f"\r\n{name}: {value}" for name, value in headers.items()).encode("latin-1") + b"\r\n\r\n"
         if url.scheme == "https":
             import ssl
 
@@ -241,7 +258,7 @@ class HttpBackend:
             self._open = functools.partial(http.client.HTTPConnection, *address, timeout=timeout)
         self._local = threading.local()
         # Every connection opened, closed when the backend is collected.
-        self._connections: list[http.client.HTTPConnection] = []
+        self._connections: list[_Connection] = []
         weakref.finalize(self, _close_all, self._connections)
 
     def send(self, request: CompletionRequest) -> str:
@@ -253,19 +270,18 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        payload = json.dumps(body).encode("utf-8")
         conn = self._connection()
         try:
-            response = self._exchange(conn, json.dumps(body).encode("utf-8"))
-            data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
+            status, headers, data = conn.exchange(b"%s%d%s%s" % (self._head, len(payload), self._tail, payload))
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             conn.close()
             raise TransportError(f"request failed: {exc}", request.fingerprint) from exc
-        status = response.status
         if status in (401, 403):
             raise AuthError(f"authentication rejected (HTTP {status})", request.fingerprint)
         if status == 429:
-            retry_after = response.getheader("Retry-After", "").strip()
-            delay = float(retry_after) if _DELTA_SECONDS_RE.fullmatch(retry_after) else None
+            retry_after = headers.get("retry-after", "").strip()
+            delay = float(retry_after) if _DIGITS_RE.fullmatch(retry_after) else None
             raise RateLimited("rate limited (HTTP 429)", request.fingerprint, retry_after=delay)
         if status != 200:
             text = data.decode("utf-8", "replace")[:200]
@@ -276,43 +292,175 @@ class HttpBackend:
             content = json.loads(data)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}, not str")
+            content.encode("utf-8")  # a lone surrogate, decoded from a "\ud800" escape, cannot be cached
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed response body: {exc}", request.fingerprint) from exc
         return content
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """This thread's connection, made on its first request."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = self._local.conn = self._open()
+            opener = self._open()
             if self._tunnel is not None:
-                conn.set_tunnel(*self._tunnel)
+                opener.set_tunnel(*self._tunnel)
+            conn = self._local.conn = _Connection(opener)
             self._connections.append(conn)
         return conn
 
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> http.client.HTTPResponse:
-        """POST body on conn and read the response head.
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection (RFC 9112). ``http.client`` opens
+    it; then each request leaves in one ``sendall`` and each reply is read
+    from one buffered reader that lasts as long as the socket.
+
+    A reply line may hold 65,536 bytes and a head 100 header lines, the
+    limits ``http.client`` keeps. Interim ``1xx`` replies are skipped. The
+    body is framed by chunked coding, by ``Content-Length``, or by the close
+    of the connection. The connection is closed after ``Connection: close``,
+    after a reply that is not HTTP/1.1 and after a body that ends at the
+    close. A framing error raises ValueError.
+    """
+
+    def __init__(self, opener: http.client.HTTPConnection):
+        self._opener = opener
+        self._reader: BinaryIO | None = None  # the open socket's reader
+
+    def close(self) -> None:
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
+        self._opener.close()
+
+    def exchange(self, message: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Send message and read the final reply: its status, its headers by
+        lower-case name, and its body.
 
         A connection left open by an earlier request may have been closed by
-        the server while idle; it then fails before any response byte
-        arrives, and is reopened and the body sent once more, at once and
-        not counted as an attempt.
+        the server while idle; it then ends before any reply byte arrives,
+        and is reopened and the message sent once more, at once and not
+        counted as an attempt.
         """
-        import http.client
-
-        reused = conn.sock is not None
+        reused = self._reader is not None
         try:
-            conn.request("POST", self._target, body, self._headers)
-            return conn.getresponse()
-        except (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError):
+            started = self._send(message)
+        except (BrokenPipeError, ConnectionResetError):
             if not reused:
                 raise
-        conn.close()
-        conn.request("POST", self._target, body, self._headers)
-        return conn.getresponse()
+            started = b""
+        if not started and reused:
+            self.close()
+            started = self._send(message)
+        if not started:
+            raise ConnectionResetError("server closed the connection without a reply")
+        reader = self._reader
+        while True:
+            version, status = _status_line(_read_line(reader))
+            headers = _read_headers(reader)
+            if status >= 200:
+                break
+        keep_alive = version == b"HTTP/1.1" and "close" not in _tokens(headers.get("connection", ""))
+        coding = headers.get("transfer-encoding")
+        length = headers.get("content-length")
+        if status in (204, 304):
+            body = b""
+        elif coding is not None and _tokens(coding)[-1:] == ["chunked"]:
+            body = _read_chunked(reader)
+            keep_alive = keep_alive and length is None  # both framings at once (RFC 9112 section 6.3)
+        elif coding is None and length is not None:
+            lengths = set(_tokens(length))
+            if len(lengths) != 1 or not _DIGITS_RE.fullmatch(size := lengths.pop()):
+                raise ValueError(f"invalid Content-Length {length!r}")
+            body = _read_exactly(reader, int(size))
+        else:
+            body = reader.read()
+            keep_alive = False
+        if not keep_alive:
+            self.close()
+        return status, headers, body
+
+    def _send(self, message: bytes) -> bytes:
+        """Send message, opening the connection first if it is closed; the
+        start of the reply, empty when the server closed the connection."""
+        if self._reader is None:
+            self._opener.connect()
+            self._reader = self._opener.sock.makefile("rb")
+        self._opener.sock.sendall(message)
+        return self._reader.peek(1)
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ValueError("connection closed inside the reply head")
+    return line
+
+
+def _status_line(line: bytes) -> tuple[bytes, int]:
+    """The version and status code of a reply's status line."""
+    parts = line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith(b"HTTP/") or not _STATUS_RE.fullmatch(parts[1]):
+        raise ValueError(f"malformed status line {line[:80]!r}")
+    return parts[0], int(parts[1])
+
+
+def _read_headers(reader: BinaryIO) -> dict[str, str]:
+    """A header or trailer section, up to its blank line: values by lower-case
+    name, a repeated name's values joined by ", " and folded lines unfolded."""
+    headers: dict[str, str] = {}
+    name = None
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if line[:1] in (b" ", b"\t") and name is not None:
+            headers[name] += " " + line.strip().decode("latin-1")
+            continue
+        field, colon, value = line.decode("latin-1").partition(":")
+        name = field.strip().lower()
+        if not colon or not name:
+            raise ValueError(f"malformed header line {line[:80]!r}")
+        value = value.strip()
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise ValueError(f"more than {_MAX_HEADERS} header lines")
+
+
+def _read_chunked(reader: BinaryIO) -> bytes:
+    chunks = []
+    while True:
+        field = _read_line(reader).split(b";", 1)[0].strip()
+        if not _HEX_RE.fullmatch(field):
+            raise ValueError(f"malformed chunk size {field[:80]!r}")
+        size = int(field, 16)
+        if not size:
+            break
+        chunk = _read_exactly(reader, size + 2)
+        if chunk[-2:] != b"\r\n":
+            raise ValueError("chunk does not end in CRLF")
+        chunks.append(chunk[:-2])
+    _read_headers(reader)  # the trailer section
+    return b"".join(chunks)
+
+
+def _read_exactly(reader: BinaryIO, size: int) -> bytes:
+    # read in pieces: one read of a huge announced size would allocate it whole and raise MemoryError
+    parts, left = [], size
+    while left and (part := reader.read(min(left, 1 << 20))):
+        parts.append(part)
+        left -= len(part)
+    if left:
+        raise ValueError(f"connection closed after {size - left} of {size} body bytes")
+    return b"".join(parts)
+
+
+def _tokens(value: str) -> list[str]:
+    """The lower-case items of a comma-separated header value."""
+    return [token.strip().lower() for token in value.split(",")]
+
+
+def _close_all(connections: list[_Connection]) -> None:
     for conn in connections:
         conn.close()
 
@@ -342,7 +490,9 @@ class CompletionCache:
     or whose ``raw_text`` is not a string, is logged and skipped, so its
     request is a miss. Other keys on a line are ignored. The first store
     opens the log for appending, and the descriptor stays open until the
-    cache is collected. Each store appends its line in one write and updates
+    cache is collected. When the log then ends in a torn line, one that an
+    interrupted store left without its newline, the first store starts on a
+    new line. Each store appends its line in one write and updates
     the in-memory map, so later lookups in the same process hit. Other
     processes see it when they next open the log.
     Threads sharing the cache claim a fingerprint before sending it, so one
@@ -378,12 +528,18 @@ class CompletionCache:
 
     def store(self, fingerprint: str, raw_text: str) -> None:
         line = json.dumps({"fingerprint": fingerprint, "raw_text": raw_text}, ensure_ascii=False, sort_keys=True)
+        data = (line + "\n").encode("utf-8")
         with self._append_lock:
             if self._fd is None:
-                flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+                flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
                 self._fd = os.open(self.path, flags, 0o666)
                 weakref.finalize(self, os.close, self._fd)
-            os.write(self._fd, (line + "\n").encode("utf-8"))
+                # a store cut off mid-line left a torn last line: end it, or this line would join it
+                if os.lseek(self._fd, 0, os.SEEK_END) > 0:
+                    os.lseek(self._fd, -1, os.SEEK_END)
+                    if os.read(self._fd, 1) != b"\n":
+                        data = b"\n" + data
+            os.write(self._fd, data)
         self._entries[fingerprint] = raw_text
 
     @contextmanager

@@ -120,13 +120,15 @@ def chat_body(content) -> dict:
 class Reply:
     """One scripted response. ``close`` drops the connection after it
     without a ``Connection: close`` header, as a server dropping an idle
-    keep-alive connection does."""
+    keep-alive connection does. ``raw``, when set, is sent as it is in place
+    of a response built from ``status``, ``body`` and ``headers``."""
 
     status: int = 200
     body: object = field(default_factory=lambda: chat_body("sad"))
     headers: dict = field(default_factory=dict)
     delay: float = 0.0
     close: bool = False
+    raw: bytes | None = None
 
 
 @dataclass
@@ -162,13 +164,16 @@ class _Handler(BaseHTTPRequestHandler):
         url = self.path if "://" in self.path else f"http://{self.headers['Host']}{self.path}"
         reply = self.server.record(Received(self.command, self.path, url, self.headers, json.loads(raw)))
         time.sleep(reply.delay)
-        body = (reply.body if isinstance(reply.body, str) else json.dumps(reply.body)).encode("utf-8")
-        self.send_response(reply.status)
-        for name, value in reply.headers.items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if reply.raw is not None:
+            self.wfile.write(reply.raw)
+        else:
+            body = (reply.body if isinstance(reply.body, str) else json.dumps(reply.body)).encode("utf-8")
+            self.send_response(reply.status)
+            for name, value in reply.headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
         self.close_connection = reply.close
 
     def log_message(self, format: str, *args) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import signal
+import socket
 import sys
 import threading
 import time
@@ -29,6 +30,8 @@ from textemo.llm import (
 )
 
 from conftest import Reply, chat_body
+
+SAD = json.dumps(chat_body("sad")).encode("utf-8")
 
 # Computed once from the canonical JSON of this exact request; must never
 # drift across runs or platforms.
@@ -190,10 +193,25 @@ class TestCache:
         assert cache.load(request.fingerprint) is None
         assert complete(request, backend, cache=cache).from_cache is False
         assert cache.load(request.fingerprint) == "sad"
-        # A store after a torn line lands on that line, so the next open
-        # misses that one entry once more and stores it on a line of its own.
-        assert complete(request, backend, cache=CompletionCache(tmp_path)).from_cache is not torn
+        # The store after a torn line starts a line of its own, so the next open hits.
+        assert complete(request, backend, cache=CompletionCache(tmp_path)).from_cache is True
         assert CompletionCache(tmp_path).load(request.fingerprint) == "sad"
+
+    def test_a_store_after_a_cut_tail_is_read_back(self, tmp_path):
+        requests = [fixture_request(f"p{n}") for n in range(3)]
+        cache = CompletionCache(tmp_path)
+        for request in requests:
+            complete(request, MockBackend(), cache=cache)
+        del cache
+        log = tmp_path / "completions.jsonl"
+        log.write_bytes(log.read_bytes()[:-20])  # what a run killed mid-store leaves
+        sent = []
+        for _ in range(2):
+            backend, cache = FlakyBackend(failures=0), CompletionCache(tmp_path)
+            for request in requests:
+                complete(request, backend, cache=cache)
+            sent.append(backend.calls)
+        assert sent == [1, 0]
 
     def test_parent_format_line_is_a_hit_with_a_derived_label(self, tmp_path):
         request = fixture_request()
@@ -534,6 +552,13 @@ class TestHttpBackend:
         with pytest.raises(ValueError, match="not an http or https URL"):
             HttpBackend(endpoint="ftp://example.test/v1/chat", api_key="k")
 
+    def test_line_break_in_a_header_value_is_refused(self, loopback):
+        from textemo.llm import HttpBackend
+
+        with pytest.raises(ValueError, match="control character"):
+            HttpBackend(endpoint=loopback.url(), api_key="k\r\nX-Injected: 1")
+        assert loopback.received == []
+
     def test_refused_connection_is_a_transport_error(self, loopback):
         from textemo.llm import HttpBackend
 
@@ -631,3 +656,126 @@ class TestHttpBackend:
         assert HttpBackend(endpoint=loopback.url(), api_key="k").send(fixture_request()) == "sad"
         (received,) = loopback.received
         assert received.target == "/v1/chat"
+
+    def test_request_head_is_the_one_http_client_sent(self, loopback):
+        from textemo.llm import HttpBackend
+
+        HttpBackend(endpoint=loopback.url(), api_key="k").send(fixture_request())
+        (received,) = loopback.received
+        length = str(len(json.dumps(received.body)))
+        assert received.headers.items() == [
+            ("Host", f"127.0.0.1:{loopback.server_address[1]}"),
+            ("Accept-Encoding", "identity"),
+            ("Content-Length", length),
+            ("Authorization", "Bearer k"),
+            ("Content-Type", "application/json"),
+        ]
+
+    def test_each_request_is_one_write(self, loopback, monkeypatch):
+        from textemo.llm import HttpBackend
+
+        port = loopback.server_address[1]
+        writes = []
+        for name in ("send", "sendall"):
+            real = getattr(socket.socket, name)
+
+            def counted(sock, *args, _real=real, _name=name):
+                if sock.getpeername()[1] == port:  # the client's end, not the server's
+                    writes.append(_name)
+                return _real(sock, *args)
+
+            monkeypatch.setattr(socket.socket, name, counted)
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        assert [backend.send(fixture_request(f"p{n}")) for n in range(3)] == ["sad"] * 3
+        assert writes == ["sendall"] * 3
+
+    def test_lone_surrogate_content_is_a_malformed_body(self, loopback, tmp_path):
+        from textemo.llm import HttpBackend
+
+        surrogate = Reply(body='{"choices": [{"message": {"content": "\\ud800"}}]}')
+        loopback.script(surrogate, surrogate)
+        cache = CompletionCache(tmp_path)
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        requests = [fixture_request("first"), fixture_request("second")]
+        first, second = fan_out(lambda r: complete(r, backend, cache=cache, retry=no_sleep_policy(2)), requests, 1)
+        assert isinstance(first, BackendExhausted) and "malformed response body" in str(first)
+        assert second.raw_text == "sad"
+        lines = cache.path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["fingerprint"] for line in lines] == [requests[1].fingerprint]
+
+    @pytest.mark.parametrize(
+        "raw, close",
+        [
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"7;note=x\r\n" + SAD[:7] + b"\r\n"
+                + b"%x\r\n" % (len(SAD) - 7) + SAD[7:] + b"\r\n"
+                + b"0\r\nX-Trailer: 1\r\n\r\n",
+                False,
+                id="chunked",
+            ),
+            pytest.param(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + SAD, True, id="http-1.0-to-close"),
+            pytest.param(
+                b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(SAD) + SAD,
+                False,
+                id="100-continue",
+            ),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (65536 - 10) + b"\r\nContent-Length: %d\r\n\r\n" % len(SAD) + SAD,
+                False,
+                id="longest-header-line",
+            ),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % n for n in range(99))
+                + b"Content-Length: %d\r\n\r\n" % len(SAD) + SAD,
+                False,
+                id="100-headers",
+            ),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nX-Folded: a\r\n b\r\nContent-Length: %d\r\n\r\n" % len(SAD) + SAD,
+                False,
+                id="folded-header-line",
+            ),
+        ],
+    )
+    def test_reply_framings_are_read(self, loopback, raw, close):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(raw=raw, close=close))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        # the second reply is read where the first one's framing ended
+        assert [backend.send(fixture_request(f"p{n}")) for n in range(2)] == ["sad"] * 2
+        assert loopback.connections == (2 if close else 1)
+
+    def test_connection_close_header_opens_a_new_connection(self, loopback, caplog):
+        from textemo.llm import HttpBackend
+
+        raw = b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n" % len(SAD) + SAD
+        loopback.script(Reply(raw=raw))  # the server leaves the connection open
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        sleeps: list[float] = []
+        with caplog.at_level("WARNING"):
+            completions = [complete(fixture_request(f"p{n}"), backend, retry=RetryPolicy(sleep=sleeps.append)) for n in range(2)]
+        assert [c.raw_text for c in completions] == ["sad"] * 2
+        assert (len(loopback.received), loopback.connections) == (2, 2)
+        assert sleeps == [] and not caplog.messages
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (len(SAD) + 10) + SAD, id="short-body"),
+            pytest.param(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", id="header-line-too-long"),
+            pytest.param(b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % n for n in range(101)) + b"\r\n", id="101-headers"),
+            pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 5, 6\r\n\r\n" + SAD, id="conflicting-content-lengths"),
+            pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % 10**15 + SAD, id="huge-content-length"),
+        ],
+    )
+    def test_framing_errors_are_transport_errors(self, loopback, raw):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(raw=raw, close=True))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        with pytest.raises(TransportError, match="request failed"):
+            backend.send(fixture_request())
+        assert backend.send(fixture_request()) == "sad"  # on a new connection
+        assert loopback.connections == 2
