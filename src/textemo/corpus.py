@@ -27,8 +27,8 @@ import json
 import logging
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -92,9 +92,8 @@ class SchemaError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class UtteranceId:
-    """Parsed structure of an utterance id string."""
+class UtteranceId(NamedTuple):
+    """Parsed structure of an utterance id string; parse_id builds one."""
 
     session: int
     recording: str
@@ -104,25 +103,17 @@ class UtteranceId:
     speaker_sex: str  # "F" or "M"
     utterance_index: int
     raw: str
+    session_key: str  # conversation identity: session number plus recording letter
+    script_key: str  # grouping key shared by all subsets and utterances of one script
 
     def serialize(self) -> str:
-        """Reconstruct the original id string byte-for-byte."""
-        subset = "" if self.subset is None else f"_{self.subset}"
-        return f"{self.session_key}_{self._dialogue()}{subset}_{self.speaker_sex}{self.utterance_index:03d}"
-
-    def _dialogue(self) -> str:
+        """Reconstruct the original id string byte-for-byte from the parsed fields."""
         prefix = {KIND_SCRIPT: "script", KIND_IMPRO: "impro"}.get(self.dialogue_kind, "")
-        return f"{prefix}{self.dialogue_index:02d}"
-
-    @property
-    def session_key(self) -> str:
-        """Conversation identity: session number plus recording letter."""
-        return f"Ses{self.session:02d}{self.recording}"
-
-    @property
-    def script_key(self) -> str:
-        """Grouping key shared by all subsets and utterances of one script."""
-        return f"{self.session_key}/{self._dialogue()}"
+        subset = "" if self.subset is None else f"_{self.subset}"
+        return (
+            f"Ses{self.session:02d}{self.recording}_{prefix}{self.dialogue_index:02d}{subset}"
+            f"_{self.speaker_sex}{self.utterance_index:03d}"
+        )
 
 
 def parse_id(raw: str) -> UtteranceId:
@@ -187,20 +178,23 @@ def parse_id(raw: str) -> UtteranceId:
                 raw, f"middle segment {seg!r} must be 'scriptNN', 'improNN', or 'NN'"
             )
 
+    # Positional, in field order: half the cost of keywords, once per record.
+    # Each segment was fullmatched above, so the keys spell the parsed fields.
     return UtteranceId(
-        session=session,
-        recording=recording,
-        dialogue_kind=kind,
-        dialogue_index=dialogue_index,
-        subset=subset,
-        speaker_sex=speaker_sex,
-        utterance_index=utterance_index,
-        raw=raw,
+        session,
+        recording,
+        kind,
+        dialogue_index,
+        subset,
+        speaker_sex,
+        utterance_index,
+        raw,
+        parts[0],
+        f"{parts[0]}/{middle[0]}",
     )
 
 
-@dataclass
-class UtteranceRecord:
+class UtteranceRecord(NamedTuple):
     """One corpus entry."""
 
     id: UtteranceId
@@ -213,8 +207,7 @@ class UtteranceRecord:
     file_position: int
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     """Utterance records in file order, grouped once by script and by session.
 
     `scripts` and `sessions` map each key to its records' file positions in
@@ -288,16 +281,7 @@ def record_from_object(obj: Mapping, position: int, strict: bool = False) -> Utt
     elif not isinstance(speaker, str):
         raise SchemaError(position, "speaker", "expected a string")
 
-    return UtteranceRecord(
-        id=uid,
-        speaker=speaker,
-        need_prediction=need_prediction,
-        emotion=emotion,
-        ground_truth=ground_truth,
-        transcriptions=transcriptions,
-        ensemble=ensemble,
-        file_position=position,
-    )
+    return UtteranceRecord(uid, speaker, need_prediction, emotion, ground_truth, transcriptions, ensemble, position)
 
 
 def is_blank(text: str | None) -> bool:
@@ -323,7 +307,8 @@ def build_corpus(objects: Iterable[Mapping], strict: bool = False) -> Corpus:
 
 
 def parse_records(objects: list[Mapping]) -> tuple[list[UtteranceRecord], list[str]]:
-    """Parse every object in strict mode, collecting each violation instead of stopping at the first."""
+    """Parse every object in strict mode, collecting each violation instead of
+    stopping at the first: schema violations, then repeated ids."""
     records: list[UtteranceRecord] = []
     violations: list[str] = []
     for position, obj in enumerate(objects):
@@ -331,12 +316,30 @@ def parse_records(objects: list[Mapping]) -> tuple[list[UtteranceRecord], list[s
             records.append(record_from_object(obj, position, strict=True))
         except SchemaError as exc:
             violations.append(str(exc))
+    violations += map(str, duplicate_ids(records))
     return records, violations
+
+
+def duplicate_ids(records: list[UtteranceRecord]) -> list[SchemaError]:
+    """A SchemaError for each record whose raw id an earlier record holds, naming both positions."""
+    first: dict[str, int] = {}
+    repeats: list[SchemaError] = []
+    for rec in records:
+        position = first.setdefault(rec.id.raw, rec.file_position)
+        if position != rec.file_position:
+            reason = f"duplicate id {rec.id.raw!r}, first at record {position}"
+            repeats.append(SchemaError(rec.file_position, "id", reason))
+    return repeats
 
 
 def index_records(records: list[UtteranceRecord]) -> Corpus:
     """Group parsed records by script and session, warning once about
-    non-contiguous scripts and once about ASR model names outside the known set."""
+    non-contiguous scripts and once about ASR model names outside the known set.
+
+    A repeated id is a SchemaError: every stage joins records by id.
+    """
+    if repeats := duplicate_ids(records):
+        raise repeats[0]
     scripts: dict[str, list[int]] = {}
     sessions: dict[str, list[int]] = {}
     model_names: set[str] = set()

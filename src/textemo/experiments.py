@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -55,6 +56,9 @@ class ExperimentSpec:
     model: str = DEFAULT_MODEL
 
     def __post_init__(self) -> None:
+        # the name is joined to the output directory by write_run_artifacts
+        if self.name in ("", ".", "..") or any(c in self.name for c in ("/", os.sep, "\0")):
+            raise ValueError(f"experiment {self.name!r}: name must be a single path component")
         if self.context_length < 1:
             raise ValueError(f"experiment {self.name!r}: context_length must be >= 1")
         if self.context_mode not in CONTEXT_MODES:

@@ -9,7 +9,7 @@ excluded from scoring but counted.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -24,8 +24,7 @@ class EmptyInput(ValueError):
     """No scoreable pair left after exclusion."""
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Scores over the 4 target classes.
 
     confusion rows are truth, columns prediction, both in EVAL_LABELS order.

@@ -20,6 +20,16 @@ def fixture_corpus(tmp_path) -> Path:
     return path
 
 
+def corpus_with_repeated_target(tmp_path: Path, copies: int) -> tuple[Path, str, int]:
+    """The 25-record fixture with `copies` copies of its first target record
+    appended; returns the file, the repeated id and its first position."""
+    objects = generate_corpus(seed=21, n_records=25)
+    first = next(i for i, obj in enumerate(objects) if obj["need_prediction"] == "yes")
+    path = tmp_path / "repeated.json"
+    write_corpus(objects + [objects[first]] * copies, path)
+    return path, objects[first]["id"], first
+
+
 @pytest.fixture
 def rejecting_session(loopback):
     """A loopback endpoint that answers every POST with HTTP 401 after 2 ms of
@@ -43,6 +53,15 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+    def test_duplicate_ids_listed(self, tmp_path, capsys):
+        path, raw, first = corpus_with_repeated_target(tmp_path, copies=2)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"violation: record 25, key 'id': duplicate id {raw!r}, first at record {first}",
+            f"violation: record 26, key 'id': duplicate id {raw!r}, first at record {first}",
+            "2 violation(s) in 27 record(s)",
+        ]
 
     def test_blank_transcriptions_are_counted(self, tmp_path, capsys):
         path = tmp_path / "blank.json"
@@ -252,6 +271,19 @@ class TestRun:
         warm_log = [json.loads(l) for l in (out_b / "demo.log.jsonl").read_text().splitlines()]
         assert warm_log[-1]["cache_hit_rate"] == 1.0
 
+    def test_duplicate_id_is_an_error_and_writes_nothing(self, tmp_path, capsys):
+        path, raw, first = corpus_with_repeated_target(tmp_path, copies=1)
+        out_dir = tmp_path / "runs"
+        assert main(["run", str(path), "--text-source", "whispertiny", "--out-dir", str(out_dir)]) == 1
+        assert f"duplicate id {raw!r}, first at record {first}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_name_outside_the_out_dir_is_an_error_and_writes_nothing(self, tmp_path, fixture_corpus, capsys):
+        argv = ["run", str(fixture_corpus), "--name", "../evil", "--text-source", "whispertiny"]
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+        assert "error: experiment '../evil': name must be a single path component" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [fixture_corpus.name]
+
     def test_zero_context_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
         argv = ["run", str(fixture_corpus), "--text-source", "whispertiny", "--context-length", "0"]
         assert main(argv + ["--out-dir", str(tmp_path / "runs")]) == 1
@@ -405,6 +437,15 @@ class TestMatrix:
 
         config.write_text(json.dumps({"experiments": [good, bad]}))
         assert main(["matrix", str(fixture_corpus), "--config", str(config)]) == 1
+
+    def test_row_name_with_a_slash_stops_before_any_row_runs(self, tmp_path, fixture_corpus, capsys):
+        rows = [{"name": "ok", "text_source": "whispertiny"}, {"name": "a/b", "text_source": "whispertiny"}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": rows}))
+        out_dir = tmp_path / "matrix"
+        assert main(["matrix", str(fixture_corpus), "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert "error: experiment 'a/b': name must be a single path component" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_http_rows_post_to_endpoint(self, tmp_path, fixture_corpus, loopback):
         config = tmp_path / "config.json"

@@ -283,6 +283,13 @@ class TestIndex:
         assert len(warnings) == 1
         assert "3 script(s)" in warnings[0] and "Ses01F/script01" in warnings[0]
 
+    def test_repeated_id_names_both_positions(self):
+        objects = [make_entry("Ses01F_01_F000"), make_entry("Ses01F_01_M001"), make_entry("Ses01F_01_F000")]
+        with pytest.raises(SchemaError) as excinfo:
+            build_corpus(objects)
+        assert (excinfo.value.position, excinfo.value.key) == (2, "id")
+        assert str(excinfo.value) == "record 2, key 'id': duplicate id 'Ses01F_01_F000', first at record 0"
+
     def test_unknown_models_warn_once_per_corpus(self, caplog):
         objects = [make_entry(f"Ses01F_01_F{i:03d}") for i in range(300)]
         for obj in objects[:120]:

@@ -254,6 +254,11 @@ class TestMatrix:
         with pytest.raises(ValueError, match="unique"):
             load_experiment_config(config)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../evil", "/abs", "a\0b"])
+    def test_name_must_be_one_path_component(self, name):
+        with pytest.raises(ValueError, match="single path component"):
+            mock_spec(name=name)
+
     def test_format_table(self, small_corpus):
         rows = run_matrix([mock_spec(name="one")], small_corpus)
         table = format_matrix_table(rows)

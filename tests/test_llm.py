@@ -63,6 +63,18 @@ def no_sleep_policy(attempts: int = 5) -> RetryPolicy:
     return RetryPolicy(attempts=attempts, sleep=lambda _s: None)
 
 
+def wait_until_main_thread_joins(timeout: float = 10.0) -> None:
+    """Return once the main thread is blocked in `Thread.join`. A signal sent
+    earlier can land while it runs code whose exceptions are discarded, such
+    as a finalizer, and the KeyboardInterrupt is then lost."""
+    main = threading.main_thread().ident
+    deadline = time.monotonic() + timeout
+    while sys._current_frames()[main].f_code.co_name not in ("join", "_wait_for_tstate_lock"):
+        if time.monotonic() > deadline:
+            raise AssertionError("the main thread did not block in Thread.join")
+        time.sleep(0.001)
+
+
 class TestFingerprint:
     def test_pinned_value(self):
         assert fixture_request().fingerprint == PINNED_FINGERPRINT
@@ -407,6 +419,7 @@ class TestFanOut:
         def interrupt_at_first(n):
             started.append(n)
             if n == 0:  # what Ctrl-C does: KeyboardInterrupt in the main thread
+                wait_until_main_thread_joins()
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             time.sleep(0.01)
             return n

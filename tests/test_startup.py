@@ -1,6 +1,7 @@
 """What a fresh process imports: the package loads no stage module; the CLI
 loads a stage module, the backend layer `textemo.llm` or `http.client` only
-when a command runs it; and an HTTP run works with `requests` unimportable."""
+when a command runs it; the corpus load path loads no `dataclasses`; and an
+HTTP run works with `requests` unimportable."""
 
 from __future__ import annotations
 
@@ -16,7 +17,15 @@ import textemo
 from textemo.cli import main
 from textemo.fixtures import generate_corpus, write_corpus
 
-DEFERRED = ("http.client", "textemo.llm", "textemo.experiments", "textemo.wer", "textemo.refine", "textemo.fixtures")
+DEFERRED = (
+    "http.client",
+    "textemo.llm",
+    "textemo.experiments",
+    "textemo.wer",
+    "textemo.refine",
+    "textemo.fixtures",
+    "dataclasses",
+)
 
 PROBE = """
 import json, sys
@@ -40,7 +49,9 @@ def test_evaluate_process_loads_no_unused_stage(tmp_path):
     assert _probe(argv) == {"stages_on_package_import": [], "http_client_on_import": False, "code": 0, "loaded": []}
 
 
-@pytest.mark.parametrize("command, stages", [("validate", []), ("wer", ["textemo.wer"])], ids=["validate", "wer"])
+@pytest.mark.parametrize(
+    "command, stages", [("validate", []), ("wer", ["textemo.wer", "dataclasses"])], ids=["validate", "wer"]
+)
 def test_corpus_command_process_loads_only_its_stage(tmp_path, command, stages):
     corpus = tmp_path / "corpus.json"
     write_corpus(generate_corpus(seed=21, n_records=25), corpus)
@@ -50,6 +61,12 @@ def test_corpus_command_process_loads_only_its_stage(tmp_path, command, stages):
         "code": 0,
         "loaded": stages,
     }
+
+
+def test_corpus_import_loads_no_dataclasses():
+    probe = "import sys, textemo.corpus; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_http_run_needs_no_requests(tmp_path, loopback):

@@ -233,6 +233,21 @@ class TestDistance:
         assert distance(a, b) == sum(dp_edit_ops(a, b))
         assert distance(b, a) == sum(dp_edit_ops(b, a))
 
+    def test_exhaustive_small(self):
+        # every pair with lengths <= 5 over 3 symbols, against a plain
+        # two-row DP; this is the kernel wer_report runs
+        import itertools
+
+        seqs = [p for n in range(6) for p in itertools.product("abc", repeat=n)]
+        for a in seqs:
+            for b in seqs:
+                row = list(range(len(b) + 1))
+                for i, x in enumerate(a, start=1):
+                    prev, row[0] = row[0], i
+                    for j, y in enumerate(b, start=1):
+                        prev, row[j] = row[j], min(prev + (x != y), row[j] + 1, row[j - 1] + 1)
+                assert distance(a, b) == row[-1], (a, b)
+
     def test_empty_sides(self):
         assert distance([], []) == 0
         assert distance([], ["a", "b"]) == 2
