@@ -75,7 +75,7 @@ def _add_ua_definition_arg(parser: argparse.ArgumentParser) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     objects = corpus_mod.read_objects(args.corpus)
-    records, violations = corpus_mod.parse_records(objects)
+    records, violations = corpus_mod.parse_records(objects, strict=True)
     for violation in violations:
         print(f"violation: {violation}")
     if violations:

@@ -301,45 +301,40 @@ def _parse_need_prediction(value: object, position: int) -> bool:
     raise SchemaError(position, "need_prediction", f"expected 'yes'/'no' or boolean, got {value!r}")
 
 
-def build_corpus(objects: Iterable[Mapping], strict: bool = False) -> Corpus:
-    """Assemble a Corpus from decoded JSON objects, warning about non-contiguous scripts."""
-    return index_records([record_from_object(obj, pos, strict=strict) for pos, obj in enumerate(objects)])
+def parse_records(objects: Iterable[Mapping], strict: bool = False) -> tuple[list[UtteranceRecord], list[SchemaError]]:
+    """Parse every object, collecting each violation instead of stopping at
+    the first: the schema violations in file order, then a SchemaError for
+    each record whose id an earlier record holds, naming both positions.
 
-
-def parse_records(objects: list[Mapping]) -> tuple[list[UtteranceRecord], list[str]]:
-    """Parse every object in strict mode, collecting each violation instead of
-    stopping at the first: schema violations, then repeated ids."""
+    A repeated id is a violation because every stage joins records by id.
+    """
     records: list[UtteranceRecord] = []
-    violations: list[str] = []
+    violations: list[SchemaError] = []
+    repeats: list[SchemaError] = []
+    first: dict[str, int] = {}
     for position, obj in enumerate(objects):
         try:
-            records.append(record_from_object(obj, position, strict=True))
+            rec = record_from_object(obj, position, strict)
         except SchemaError as exc:
-            violations.append(str(exc))
-    violations += map(str, duplicate_ids(records))
-    return records, violations
+            violations.append(exc)
+            continue
+        records.append(rec)
+        if (earlier := first.setdefault(rec.id.raw, position)) != position:
+            repeats.append(SchemaError(position, "id", f"duplicate id {rec.id.raw!r}, first at record {earlier}"))
+    return records, violations + repeats
 
 
-def duplicate_ids(records: list[UtteranceRecord]) -> list[SchemaError]:
-    """A SchemaError for each record whose raw id an earlier record holds, naming both positions."""
-    first: dict[str, int] = {}
-    repeats: list[SchemaError] = []
-    for rec in records:
-        position = first.setdefault(rec.id.raw, rec.file_position)
-        if position != rec.file_position:
-            reason = f"duplicate id {rec.id.raw!r}, first at record {position}"
-            repeats.append(SchemaError(rec.file_position, "id", reason))
-    return repeats
+def build_corpus(objects: Iterable[Mapping], strict: bool = False) -> Corpus:
+    """Parse and index decoded JSON objects; the first violation parse_records lists is raised."""
+    records, violations = parse_records(objects, strict)
+    if violations:
+        raise violations[0]
+    return index_records(records)
 
 
 def index_records(records: list[UtteranceRecord]) -> Corpus:
     """Group parsed records by script and session, warning once about
-    non-contiguous scripts and once about ASR model names outside the known set.
-
-    A repeated id is a SchemaError: every stage joins records by id.
-    """
-    if repeats := duplicate_ids(records):
-        raise repeats[0]
+    non-contiguous scripts and once about ASR model names outside the known set."""
     scripts: dict[str, list[int]] = {}
     sessions: dict[str, list[int]] = {}
     model_names: set[str] = set()

@@ -110,12 +110,6 @@ def _spec_from_row(index: int, row: object) -> ExperimentSpec:
     return ExperimentSpec(**row)
 
 
-def validate_spec(spec: ExperimentSpec, corpus: Corpus, templates: Mapping[str, PromptTemplate]) -> None:
-    if spec.prompt not in templates:
-        raise ValueError(f"experiment {spec.name!r}: unknown template {spec.prompt!r}")
-    check_text_source(corpus, spec.text_source)
-
-
 @dataclass
 class PredictionEvent:
     """One prediction, as logged."""
@@ -153,32 +147,6 @@ class RunResult:
         return self.cache_hits / len(self.predictions) if self.predictions else 0.0
 
 
-def _predict_one(
-    corpus: Corpus,
-    record: UtteranceRecord,
-    spec: ExperimentSpec,
-    template: PromptTemplate,
-    backend: Backend,
-    cache: CompletionCache | None,
-    retry: RetryPolicy,
-) -> PredictionEvent:
-    window = build_context(
-        corpus, record.file_position, mode=spec.context_mode, length=spec.context_length, text_source=spec.text_source
-    )
-    sentence = resolve_text(record, spec.text_source)
-    prompt_text = render(template, format_context(window), record.speaker, sentence)
-    request = CompletionRequest(model=spec.model, prompt=prompt_text, temperature=0.0, max_tokens=16)
-    completion = complete(request, backend, cache=cache, retry=retry)
-    label = completion.normalized_label
-    return PredictionEvent(
-        id=record.id.raw,
-        fingerprint=request.fingerprint,
-        prediction=label if label is not None else FALLBACK_LABEL,
-        from_cache=completion.from_cache,
-        fallback=label is None,
-    )
-
-
 def run_experiment(
     spec: ExperimentSpec,
     corpus: Corpus,
@@ -195,7 +163,9 @@ def run_experiment(
     """
     if templates is None:
         templates = load_templates()
-    validate_spec(spec, corpus, templates)
+    if spec.prompt not in templates:
+        raise ValueError(f"experiment {spec.name!r}: unknown template {spec.prompt!r}")
+    check_text_source(corpus, spec.text_source)
     template = templates[spec.prompt]
     missing = sum(source_text(rec, spec.text_source) is None for rec in corpus.records)
     if missing:
@@ -207,20 +177,36 @@ def run_experiment(
             spec.text_source,
         )
 
-    targets: list[UtteranceRecord] = []
+    targets: list[tuple[UtteranceRecord, str]] = []
     failures: list[dict] = []
     for record in corpus.records:
-        if record.need_prediction and resolve_text(record, spec.text_source):
-            targets.append(record)
-        elif record.need_prediction:
+        if not record.need_prediction:
+            continue
+        if sentence := resolve_text(record, spec.text_source):
+            targets.append((record, sentence))
+        else:
             error = f"no non-blank {spec.text_source!r} text or transcription to predict from"
             failures.append({"id": record.id.raw, "fingerprint": None, "error": error})
-    outcomes = fan_out(
-        lambda record: _predict_one(corpus, record, spec, template, backend, cache, retry), targets, concurrency
-    )
+
+    def predict(target: tuple[UtteranceRecord, str]) -> PredictionEvent:
+        record, sentence = target
+        window = build_context(corpus, record.file_position, spec.context_mode, spec.context_length, spec.text_source)
+        prompt_text = render(template, format_context(window), record.speaker, sentence)
+        request = CompletionRequest(model=spec.model, prompt=prompt_text, temperature=0.0, max_tokens=16)
+        completion = complete(request, backend, cache=cache, retry=retry)
+        label = completion.normalized_label
+        return PredictionEvent(
+            id=record.id.raw,
+            fingerprint=request.fingerprint,
+            prediction=label if label is not None else FALLBACK_LABEL,
+            from_cache=completion.from_cache,
+            fallback=label is None,
+        )
+
+    outcomes = fan_out(predict, targets, concurrency)
     predictions: list[PredictionEvent] = []
     truth_pairs: list[tuple[str | None, str]] = []
-    for record, outcome in zip(targets, outcomes):
+    for (record, _), outcome in zip(targets, outcomes):
         if isinstance(outcome, BackendError):
             failures.append({"id": record.id.raw, "fingerprint": outcome.fingerprint, "error": str(outcome)})
         else:
@@ -346,9 +332,6 @@ def format_matrix_table(rows: list[dict]) -> str:
             lines.append(f"{row['name']:<42}  ERROR: {row['error']}")
             continue
         ua = f"{row['ua']:.3f}" if "ua" in row else "-"
-        cells = "".join(
-            f"{row.get('f1_' + l, float('nan')):>12.3f}" if ("f1_" + l) in row else f"{'-':>12}"
-            for l in EVAL_LABELS
-        )
+        cells = "".join(f"{row['f1_' + l]:>12.3f}" if "f1_" + l in row else f"{'-':>12}" for l in EVAL_LABELS)
         lines.append(f"{row['name']:<42}{ua:>8}" + cells)
     return "\n".join(lines)

@@ -57,6 +57,8 @@ _CONTROL_RE = re.compile(r"[\x00-\x20\x7f]")
 # Limits http.client keeps on a reply: bytes per line, and header lines per head.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# The largest reply body read, under any framing; a completion of max_tokens is far smaller.
+_MAX_BODY = 4 << 20
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -317,9 +319,10 @@ class _Connection:
     A reply line may hold 65,536 bytes and a head 100 header lines, the
     limits ``http.client`` keeps. Interim ``1xx`` replies are skipped. The
     body is framed by chunked coding, by ``Content-Length``, or by the close
-    of the connection. The connection is closed after ``Connection: close``,
-    after a reply that is not HTTP/1.1 and after a body that ends at the
-    close. A framing error raises ValueError.
+    of the connection, and may hold ``_MAX_BODY`` bytes under each. The
+    connection is closed after ``Connection: close``, after a reply that is
+    not HTTP/1.1 and after a body that ends at the close. A framing error or
+    a body over the cap raises ValueError.
     """
 
     def __init__(self, opener: http.client.HTTPConnection):
@@ -371,9 +374,13 @@ class _Connection:
             lengths = set(_tokens(length))
             if len(lengths) != 1 or not _DIGITS_RE.fullmatch(size := lengths.pop()):
                 raise ValueError(f"invalid Content-Length {length!r}")
+            if int(size) > _MAX_BODY:
+                raise ValueError(f"Content-Length {size} is over the {_MAX_BODY}-byte body cap")
             body = _read_exactly(reader, int(size))
         else:
-            body = reader.read()
+            body = reader.read(_MAX_BODY + 1)
+            if len(body) > _MAX_BODY:
+                raise ValueError(f"body that ends at the close is over the {_MAX_BODY}-byte cap")
             keep_alive = False
         if not keep_alive:
             self.close()
@@ -428,7 +435,7 @@ def _read_headers(reader: BinaryIO) -> dict[str, str]:
 
 
 def _read_chunked(reader: BinaryIO) -> bytes:
-    chunks = []
+    chunks, total = [], 0
     while True:
         field = _read_line(reader).split(b";", 1)[0].strip()
         if not _HEX_RE.fullmatch(field):
@@ -436,6 +443,9 @@ def _read_chunked(reader: BinaryIO) -> bytes:
         size = int(field, 16)
         if not size:
             break
+        total += size
+        if total > _MAX_BODY:
+            raise ValueError(f"chunked body is over the {_MAX_BODY}-byte cap")
         chunk = _read_exactly(reader, size + 2)
         if chunk[-2:] != b"\r\n":
             raise ValueError("chunk does not end in CRLF")
@@ -445,14 +455,11 @@ def _read_chunked(reader: BinaryIO) -> bytes:
 
 
 def _read_exactly(reader: BinaryIO, size: int) -> bytes:
-    # read in pieces: one read of a huge announced size would allocate it whole and raise MemoryError
-    parts, left = [], size
-    while left and (part := reader.read(min(left, 1 << 20))):
-        parts.append(part)
-        left -= len(part)
-    if left:
-        raise ValueError(f"connection closed after {size - left} of {size} body bytes")
-    return b"".join(parts)
+    # size is at most _MAX_BODY + 2, so one read allocates no more than that
+    data = reader.read(size)
+    if len(data) != size:
+        raise ValueError(f"connection closed after {len(data)} of {size} body bytes")
+    return data
 
 
 def _tokens(value: str) -> list[str]:

@@ -38,15 +38,7 @@ class EvalReport(NamedTuple):
     n_excluded: int
 
     def to_dict(self) -> dict:
-        return {
-            "labels": list(EVAL_LABELS),
-            "confusion": self.confusion,
-            "per_class_f1": self.per_class_f1,
-            "ua": self.ua,
-            "ua_definition": self.ua_definition,
-            "n_scored": self.n_scored,
-            "n_excluded": self.n_excluded,
-        }
+        return {"labels": list(EVAL_LABELS), **self._asdict()}
 
     def format_table(self) -> str:
         header = "truth \\ pred" + "".join(f"{l:>9}" for l in EVAL_LABELS)

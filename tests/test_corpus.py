@@ -12,8 +12,10 @@ from textemo.corpus import (
     build_corpus,
     load_corpus,
     parse_id,
+    parse_records,
     record_from_object,
 )
+from textemo.fixtures import generate_corpus
 
 from conftest import make_entry
 
@@ -298,3 +300,54 @@ class TestIndex:
             corpus = build_corpus(objects)
         assert caplog.messages == ["unknown ASR model(s) shinynewasr kept as transcriptions in 120 of 300 records"]
         assert "shinynewasr" in corpus.model_names
+
+
+def _set(position: int, key: str, value):
+    def mutate(objects):
+        objects[position][key] = value
+
+    return mutate
+
+
+def _strip_transcriptions(objects):
+    for key in KNOWN_ASR_MODELS:
+        objects[4].pop(key)
+
+
+def _repeat_target(objects):
+    objects.append(dict(next(obj for obj in objects if obj["need_prediction"] == "yes")))
+
+
+def _repeat_early_then_schema_fault(objects):
+    objects[1]["id"] = objects[0]["id"]
+    objects[-1]["need_prediction"] = "maybe"
+
+
+class TestValidateAgreesWithLoad:
+    """`validate` lists parse_records' violations; every loader raises the first of them."""
+
+    @pytest.mark.parametrize(
+        "mutate, positions",
+        [
+            pytest.param(lambda objects: None, [], id="unmutated"),
+            pytest.param(_set(3, "id", "Ses01F_script01_F00"), [3], id="malformed-id"),
+            pytest.param(_set(5, "whispertiny", 7), [5], id="non-string-transcription"),
+            pytest.param(_set(2, "need_prediction", "maybe"), [2], id="bad-need-prediction"),
+            pytest.param(_strip_transcriptions, [4], id="no-transcriptions"),
+            pytest.param(_set(6, "shinynewasr", "well"), [6], id="unknown-model-strict"),
+            pytest.param(_repeat_target, [20], id="repeated-id"),
+            pytest.param(_repeat_early_then_schema_fault, [19, 1], id="repeat-before-schema-fault"),
+        ],
+    )
+    def test_build_corpus_raises_the_first_listed_violation(self, mutate, positions):
+        objects = generate_corpus(seed=5, n_records=20)
+        mutate(objects)
+        records, violations = parse_records(objects, strict=True)
+        assert [v.position for v in violations] == positions
+        if not violations:
+            assert build_corpus(objects, strict=True).records == records
+            return
+        with pytest.raises(SchemaError) as excinfo:
+            build_corpus(objects, strict=True)
+        raised, first = excinfo.value, violations[0]
+        assert (raised.position, raised.key, str(raised)) == (first.position, first.key, str(first))

@@ -38,6 +38,18 @@ def mock_spec(name="exp", **overrides) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
+class CountingBackend(MockBackend):
+    """A MockBackend that counts the requests sent to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.sends = 0
+
+    def send(self, request):
+        self.sends += 1
+        return super().send(request)
+
+
 class TestRunExperiment:
     def test_predicts_every_flagged_record(self, small_corpus):
         result = run_experiment(mock_spec(), small_corpus, MockBackend(seed=0))
@@ -87,12 +99,16 @@ class TestRunExperiment:
         assert "20 of 40 records have no 'whispertiny' text" in warnings[0]
 
     def test_unknown_text_source_rejected(self, small_corpus):
+        backend = CountingBackend()
         with pytest.raises(ValueError, match="unknown text source"):
-            run_experiment(mock_spec(text_source="nosuch"), small_corpus, MockBackend())
+            run_experiment(mock_spec(text_source="nosuch"), small_corpus, backend)
+        assert backend.sends == 0
 
     def test_unknown_template_rejected(self, small_corpus):
+        backend = CountingBackend()
         with pytest.raises(ValueError, match="unknown template"):
-            run_experiment(mock_spec(prompt="nosuch"), small_corpus, MockBackend())
+            run_experiment(mock_spec(prompt="nosuch"), small_corpus, backend)
+        assert backend.sends == 0
 
     def test_partial_failure_goes_to_manifest(self, small_corpus):
         class HalfBroken:

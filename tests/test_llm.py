@@ -24,6 +24,7 @@ from textemo.llm import (
     RateLimited,
     RetryPolicy,
     TransportError,
+    _MAX_BODY,
     complete,
     fan_out,
     normalize_label,
@@ -792,3 +793,32 @@ class TestHttpBackend:
             backend.send(fixture_request())
         assert backend.send(fixture_request()) == "sad"  # on a new connection
         assert loopback.connections == 2
+
+    # The chunked and to-close bodies would parse as "sad" (JSON allows leading
+    # blanks) but for their size; the Content-Length is refused before the body.
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (_MAX_BODY + 1) + SAD, id="content-length"),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % _MAX_BODY + b" " * _MAX_BODY + b"\r\n"
+                + b"%x\r\n" % len(SAD) + SAD + b"\r\n0\r\n\r\n",
+                id="chunked",
+            ),
+            pytest.param(b"HTTP/1.0 200 OK\r\n\r\n" + b" " * _MAX_BODY + SAD, id="to-close"),
+        ],
+    )
+    def test_a_body_over_the_cap_is_a_transport_error_and_not_cached(self, loopback, tmp_path, raw):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(raw=raw, close=True), Reply(raw=raw, close=True))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        with pytest.raises(TransportError, match="cap"):
+            backend.send(fixture_request())
+        cache = CompletionCache(tmp_path)
+        with pytest.raises(BackendExhausted, match="cap"):
+            complete(fixture_request(), backend, cache=cache, retry=no_sleep_policy(1))
+        assert not cache.path.exists()
+        assert backend.send(fixture_request()) == "sad"  # on a new connection
+        assert loopback.connections == 3
