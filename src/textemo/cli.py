@@ -123,16 +123,20 @@ def cmd_refine(args: argparse.Namespace) -> int:
         args.concurrency if cfg.selector == "llm" else 1,
     )
     unrefined: list[str] = []
+    sources: Counter[str] = Counter()
     for obj, record, outcome in zip(objects, corpus.records, outcomes):
         if isinstance(outcome, BackendError):
             logger.error("record %s left unrefined: %s", record.id.raw, outcome)
             unrefined.append(record.id.raw)
         else:
             obj[corpus_mod.ENSEMBLE_KEY] = outcome.chosen
+            sources[outcome.chosen_source] += 1
 
     corpus_mod.write_corpus(objects, args.outfile)
     refined = len(corpus.records) - len(unrefined)
     print(f"refined {refined}/{len(corpus.records)} record(s) -> {args.outfile}")
+    kinds = (refine_mod.SOURCE_LLM, refine_mod.SOURCE_LONGEST, refine_mod.SOURCE_ALL_SHORT)
+    print("chosen by: " + ", ".join(f"{kind}={sources[kind]}" for kind in kinds))
     if unrefined:
         print(f"unrefined after retries: {unrefined}", file=sys.stderr)
         return EXIT_BACKEND

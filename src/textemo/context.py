@@ -10,7 +10,7 @@ regardless of their need_prediction flag.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import CONTEXT_MODES, ENSEMBLE_KEY, MODE_SCRIPT, Corpus, UtteranceRecord, is_blank
 
@@ -25,8 +25,7 @@ class InvalidTarget(IndexError):
     """Target position outside the corpus."""
 
 
-@dataclass
-class ContextWindow:
+class ContextWindow(NamedTuple):
     """Preceding (speaker, text) pairs in conversation order, oldest first."""
 
     items: list[tuple[str, str]]

@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL
 from .context import build_context, check_text_source, format_context, resolve_text, source_text
@@ -43,10 +42,7 @@ FALLBACK_LABEL = "neutral"
 DEFAULT_MATRIX_RESOURCE = "experiment_matrix.json"
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment: transcription source, prompt, context policy, backend."""
-
+class _SpecFields(NamedTuple):
     name: str
     text_source: str
     prompt: str = "baseline"
@@ -55,7 +51,15 @@ class ExperimentSpec:
     backend: str = BACKEND_MOCK
     model: str = DEFAULT_MODEL
 
-    def __post_init__(self) -> None:
+
+class ExperimentSpec(_SpecFields):
+    """One experiment: transcription source, prompt, context policy, backend;
+    checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ExperimentSpec:
+        self = super().__new__(cls, *args, **kwargs)
         # the name is joined to the output directory by write_run_artifacts
         if self.name in ("", ".", "..") or any(c in self.name for c in ("/", os.sep, "\0")):
             raise ValueError(f"experiment {self.name!r}: name must be a single path component")
@@ -65,6 +69,7 @@ class ExperimentSpec:
             raise ValueError(f"experiment {self.name!r}: unknown context_mode {self.context_mode!r}")
         if self.backend not in BACKEND_KINDS:
             raise ValueError(f"experiment {self.name!r}: unknown backend {self.backend!r}")
+        return self
 
 
 def load_experiment_config(path: str | Path | None = None) -> list[ExperimentSpec]:
@@ -96,22 +101,20 @@ def load_experiment_config(path: str | Path | None = None) -> list[ExperimentSpe
 def _spec_from_row(index: int, row: object) -> ExperimentSpec:
     if not isinstance(row, Mapping):
         raise ValueError(f"experiment row {index}: expected a JSON object")
-    spec_fields = {f.name: f for f in fields(ExperimentSpec)}
     for key, value in row.items():
-        if key not in spec_fields:
+        if key not in ExperimentSpec._fields:
             raise ValueError(f"experiment row {index}: unknown key {key!r}")
-        expected = int if spec_fields[key].type == "int" else str
+        expected = int if key == "context_length" else str
         if type(value) is not expected:  # a JSON true is not a context length
             kind = "an integer" if expected is int else "a string"
             raise ValueError(f"experiment row {index}: key {key!r} must be {kind}")
-    for f in spec_fields.values():
-        if f.default is MISSING and f.name not in row:
-            raise ValueError(f"experiment row {index}: required key {f.name!r} is missing")
+    for name in ExperimentSpec._fields:
+        if name not in ExperimentSpec._field_defaults and name not in row:
+            raise ValueError(f"experiment row {index}: required key {name!r} is missing")
     return ExperimentSpec(**row)
 
 
-@dataclass
-class PredictionEvent:
+class PredictionEvent(NamedTuple):
     """One prediction, as logged."""
 
     id: str
@@ -121,8 +124,7 @@ class PredictionEvent:
     fallback: bool
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """Everything a single experiment run produced."""
 
     spec: ExperimentSpec
@@ -250,7 +252,7 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Pat
     log_path = out / f"{name}.log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
         for event in result.predictions:
-            fh.write(json.dumps({"event": "prediction", **vars(event)}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"event": "prediction", **event._asdict()}, sort_keys=True) + "\n")
         fh.write(
             json.dumps(
                 {

@@ -29,16 +29,15 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TypeVar
+from urllib.parse import urlsplit
 
 from . import BACKEND_MOCK, DEFAULT_ENDPOINT
 from .metrics import EVAL_LABELS
 
 if TYPE_CHECKING:
-    import http.client
-    from urllib.parse import SplitResult
+    from .httpclient import Connection
 
 logger = logging.getLogger(__name__)
 
@@ -49,16 +48,9 @@ API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
 
 _LABEL_RE = re.compile(rf"\b({'|'.join(EVAL_LABELS)})\b")
 _PUNCT_RE = re.compile(r"[^a-z0-9']+")
-# Content-Length, and the delta-seconds form of Retry-After (RFC 9110 section 10.2.3); the HTTP-date form is not honoured.
+# The delta-seconds form of Retry-After (RFC 9110 section 10.2.3); the HTTP-date form is not honoured.
 _DIGITS_RE = re.compile(r"[0-9]+")
-_HEX_RE = re.compile(rb"[0-9A-Fa-f]+")
-_STATUS_RE = re.compile(rb"[1-9][0-9][0-9]")
 _CONTROL_RE = re.compile(r"[\x00-\x20\x7f]")
-# Limits http.client keeps on a reply: bytes per line, and header lines per head.
-_MAX_LINE = 65536
-_MAX_HEADERS = 100
-# The largest reply body read, under any framing; a completion of max_tokens is far smaller.
-_MAX_BODY = 4 << 20
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -97,36 +89,28 @@ class BackendExhausted(BackendError):
     """All retry attempts failed."""
 
 
-@dataclass(frozen=True)
 class CompletionRequest:
-    """One annotator call, identified by a content hash of its fields, computed once."""
+    """One annotator call, identified by a content hash of its fields,
+    computed once. It is read-only, so the hash cannot go stale."""
 
-    model: str
-    prompt: str
-    temperature: float = 0.0
-    max_tokens: int = 16
+    __slots__ = ("model", "prompt", "temperature", "max_tokens", "_fingerprint")
 
-    def __post_init__(self) -> None:
-        payload = json.dumps(
-            {
-                "model": self.model,
-                "prompt": self.prompt,
-                "temperature": self.temperature,
-                "max_tokens": self.max_tokens,
-            },
-            sort_keys=True,
-            ensure_ascii=True,
-            separators=(",", ":"),
-        )
+    def __init__(self, model: str, prompt: str, temperature: float = 0.0, max_tokens: int = 16):
+        fields = {"model": model, "prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        payload = json.dumps(fields, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
         object.__setattr__(self, "_fingerprint", hashlib.sha256(payload.encode("utf-8")).hexdigest())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CompletionRequest is read-only: cannot set {name!r}")
 
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     """Raw and normalized response to a CompletionRequest."""
 
     raw_text: str
@@ -152,8 +136,7 @@ def normalize_label(raw: str) -> str | None:
     return match.group(1) if match else None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     """Exponential backoff with full jitter: uniform(0, base * factor**n).
 
     A delay the server asks for (Retry-After) is used instead, capped at the
@@ -198,15 +181,18 @@ class MockBackend:
 class HttpBackend:
     """Chat-completions client that speaks HTTP/1.1 over keep-alive sockets.
 
-    Each thread keeps one connection, to the endpoint or to its proxy. The
-    proxy comes from the environment (``http_proxy``, ``https_proxy``,
-    ``all_proxy``, ``no_proxy``), read once here: an ``http`` endpoint
-    behind a proxy is requested from it by absolute URL, an ``https`` one
-    through a CONNECT tunnel. TLS is verified against the system CA store.
-    ``http.client`` opens each connection, tunnel and TLS included; the
-    requests and replies on it are framed by ``_Connection``. ``http.client``
-    and ``ssl`` are imported here, not with this module, so commands that
-    never build an HTTP backend do not load them.
+    Building one checks the API key and the endpoint and nothing more. The
+    first connection, opened by the first request the cache does not
+    answer, does the set-up that every connection shares: it reads the
+    proxy from the environment (``http_proxy``, ``https_proxy``,
+    ``all_proxy``, ``no_proxy``), makes the opener and the request head, and
+    loads ``textemo.httpclient``, ``http.client`` and, for an ``https``
+    endpoint, ``ssl``. An ``http`` endpoint behind a proxy is requested from
+    it by absolute URL, an ``https`` one through a CONNECT tunnel. TLS is
+    verified against the system CA store.
+
+    Each thread keeps one connection, to the endpoint or to its proxy, and
+    each exchange on it must end within ``timeout`` seconds.
     """
 
     def __init__(self, endpoint: str = DEFAULT_ENDPOINT, api_key: str | None = None, timeout: float = 60.0):
@@ -217,55 +203,27 @@ class HttpBackend:
                     break
         if not api_key:
             raise AuthError(f"no API key found in {' or '.join(API_KEY_ENV_VARS)}")
-        import http.client
-        from urllib.parse import urlsplit
-        from urllib.request import getproxies, proxy_bypass
-
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint {endpoint!r} is not an http or https URL")
         self.endpoint = endpoint
-        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        address = (url.hostname, url.port)
-        self._tunnel: tuple | None = None
-        proxies = getproxies()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and not proxy_bypass(url.netloc):
-            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if proxy_url.scheme != "http" or not proxy_url.hostname:
-                raise ValueError(f"proxy {proxy!r} is not an http URL")
-            proxy_headers = _proxy_auth(proxy_url)
-            if url.scheme == "http":
-                target = url._replace(fragment="").geturl()
-                headers.update(proxy_headers)
-            else:
-                self._tunnel = (*address, proxy_headers)
-            address = (proxy_url.hostname, proxy_url.port)
-        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        self._url = url
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
         if url.port not in (None, 443 if url.scheme == "https" else 80):
-            host += f":{url.port}"
-        if _CONTROL_RE.search(target + host) or any("\r" in value or "\n" in value for value in headers.values()):
+            self._host += f":{url.port}"
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        if _CONTROL_RE.search(self._target + self._host) or any("\r" in v or "\n" in v for v in self._headers.values()):
             raise ValueError(f"endpoint {endpoint!r} or its headers hold a control character")
-        # Every request is _head, the body's length, _tail and the body, in the header order http.client used.
-        head = f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\nContent-Length: "
-        self._head = head.encode("latin-1")
-        self._tail = "".join(f"\r\n{name}: {value}" for name, value in headers.items()).encode("latin-1") + b"\r\n\r\n"
-        if url.scheme == "https":
-            import ssl
-
-            context = ssl.create_default_context()
-            self._open = functools.partial(http.client.HTTPSConnection, *address, timeout=timeout, context=context)
-        else:
-            self._open = functools.partial(http.client.HTTPConnection, *address, timeout=timeout)
+        self._timeout = timeout
+        self._open: Callable[[], Connection] | None = None  # made by _set_up
+        self._set_up_lock = threading.Lock()
         self._local = threading.local()
         # Every connection opened, closed when the backend is collected.
-        self._connections: list[_Connection] = []
+        self._connections: list[Connection] = []
         weakref.finalize(self, _close_all, self._connections)
 
     def send(self, request: CompletionRequest) -> str:
-        import http.client
-
         body = {
             "model": request.model,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -276,7 +234,7 @@ class HttpBackend:
         conn = self._connection()
         try:
             status, headers, data = conn.exchange(b"%s%d%s%s" % (self._head, len(payload), self._tail, payload))
-        except (OSError, ValueError, http.client.HTTPException) as exc:
+        except (OSError, ValueError) as exc:
             conn.close()
             raise TransportError(f"request failed: {exc}", request.fingerprint) from exc
         if status in (401, 403):
@@ -299,188 +257,68 @@ class HttpBackend:
             raise TransportError(f"malformed response body: {exc}", request.fingerprint) from exc
         return content
 
-    def _connection(self) -> _Connection:
+    def _connection(self) -> Connection:
         """This thread's connection, made on its first request."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            opener = self._open()
-            if self._tunnel is not None:
-                opener.set_tunnel(*self._tunnel)
-            conn = self._local.conn = _Connection(opener)
+            with self._set_up_lock:  # two threads may open their first connections at once
+                if self._open is None:
+                    self._set_up()
+            conn = self._local.conn = self._open()
             self._connections.append(conn)
         return conn
 
+    def _set_up(self) -> None:
+        """Read the proxy from the environment, then make the request head
+        and the opener of each connection. A malformed proxy variable is a
+        ValueError."""
+        import http.client
+        from urllib.request import getproxies, proxy_bypass
 
-class _Connection:
-    """One keep-alive HTTP/1.1 connection (RFC 9112). ``http.client`` opens
-    it; then each request leaves in one ``sendall`` and each reply is read
-    from one buffered reader that lasts as long as the socket.
+        from .httpclient import Connection, proxy_auth
 
-    A reply line may hold 65,536 bytes and a head 100 header lines, the
-    limits ``http.client`` keeps. Interim ``1xx`` replies are skipped. The
-    body is framed by chunked coding, by ``Content-Length``, or by the close
-    of the connection, and may hold ``_MAX_BODY`` bytes under each. The
-    connection is closed after ``Connection: close``, after a reply that is
-    not HTTP/1.1 and after a body that ends at the close. A framing error or
-    a body over the cap raises ValueError.
-    """
+        url, target, headers, timeout = self._url, self._target, self._headers, self._timeout
+        address = (url.hostname, url.port)
+        tunnel = None
+        proxies = getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and not proxy_bypass(url.netloc):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ValueError(f"proxy {proxy!r} is not an http URL")
+            proxy_headers = proxy_auth(proxy_url)
+            if url.scheme == "http":
+                target = url._replace(fragment="").geturl()
+                if _CONTROL_RE.search(target):
+                    raise ValueError(f"endpoint {self.endpoint!r} or its headers hold a control character")
+                headers = {**headers, **proxy_headers}
+            else:
+                tunnel = (*address, proxy_headers)
+            address = (proxy_url.hostname, proxy_url.port)
+        # Every request is _head, the body's length, _tail and the body, in the header order http.client used.
+        head = f"POST {target} HTTP/1.1\r\nHost: {self._host}\r\nAccept-Encoding: identity\r\nContent-Length: "
+        self._head = head.encode("latin-1")
+        self._tail = "".join(f"\r\n{name}: {value}" for name, value in headers.items()).encode("latin-1") + b"\r\n\r\n"
+        if url.scheme == "https":
+            import ssl
 
-    def __init__(self, opener: http.client.HTTPConnection):
-        self._opener = opener
-        self._reader: BinaryIO | None = None  # the open socket's reader
-
-    def close(self) -> None:
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
-        self._opener.close()
-
-    def exchange(self, message: bytes) -> tuple[int, dict[str, str], bytes]:
-        """Send message and read the final reply: its status, its headers by
-        lower-case name, and its body.
-
-        A connection left open by an earlier request may have been closed by
-        the server while idle; it then ends before any reply byte arrives,
-        and is reopened and the message sent once more, at once and not
-        counted as an attempt.
-        """
-        reused = self._reader is not None
-        try:
-            started = self._send(message)
-        except (BrokenPipeError, ConnectionResetError):
-            if not reused:
-                raise
-            started = b""
-        if not started and reused:
-            self.close()
-            started = self._send(message)
-        if not started:
-            raise ConnectionResetError("server closed the connection without a reply")
-        reader = self._reader
-        while True:
-            version, status = _status_line(_read_line(reader))
-            headers = _read_headers(reader)
-            if status >= 200:
-                break
-        keep_alive = version == b"HTTP/1.1" and "close" not in _tokens(headers.get("connection", ""))
-        coding = headers.get("transfer-encoding")
-        length = headers.get("content-length")
-        if status in (204, 304):
-            body = b""
-        elif coding is not None and _tokens(coding)[-1:] == ["chunked"]:
-            body = _read_chunked(reader)
-            keep_alive = keep_alive and length is None  # both framings at once (RFC 9112 section 6.3)
-        elif coding is None and length is not None:
-            lengths = set(_tokens(length))
-            if len(lengths) != 1 or not _DIGITS_RE.fullmatch(size := lengths.pop()):
-                raise ValueError(f"invalid Content-Length {length!r}")
-            if int(size) > _MAX_BODY:
-                raise ValueError(f"Content-Length {size} is over the {_MAX_BODY}-byte body cap")
-            body = _read_exactly(reader, int(size))
+            context = ssl.create_default_context()
+            new_opener = functools.partial(http.client.HTTPSConnection, *address, timeout=timeout, context=context)
         else:
-            body = reader.read(_MAX_BODY + 1)
-            if len(body) > _MAX_BODY:
-                raise ValueError(f"body that ends at the close is over the {_MAX_BODY}-byte cap")
-            keep_alive = False
-        if not keep_alive:
-            self.close()
-        return status, headers, body
+            new_opener = functools.partial(http.client.HTTPConnection, *address, timeout=timeout)
 
-    def _send(self, message: bytes) -> bytes:
-        """Send message, opening the connection first if it is closed; the
-        start of the reply, empty when the server closed the connection."""
-        if self._reader is None:
-            self._opener.connect()
-            self._reader = self._opener.sock.makefile("rb")
-        self._opener.sock.sendall(message)
-        return self._reader.peek(1)
+        def open_connection() -> Connection:
+            opener = new_opener()
+            if tunnel is not None:
+                opener.set_tunnel(*tunnel)
+            return Connection(opener, timeout)
+
+        self._open = open_connection
 
 
-def _read_line(reader: BinaryIO) -> bytes:
-    line = reader.readline(_MAX_LINE + 1)
-    if len(line) > _MAX_LINE:
-        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
-    if not line.endswith(b"\n"):
-        raise ValueError("connection closed inside the reply head")
-    return line
-
-
-def _status_line(line: bytes) -> tuple[bytes, int]:
-    """The version and status code of a reply's status line."""
-    parts = line.split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith(b"HTTP/") or not _STATUS_RE.fullmatch(parts[1]):
-        raise ValueError(f"malformed status line {line[:80]!r}")
-    return parts[0], int(parts[1])
-
-
-def _read_headers(reader: BinaryIO) -> dict[str, str]:
-    """A header or trailer section, up to its blank line: values by lower-case
-    name, a repeated name's values joined by ", " and folded lines unfolded."""
-    headers: dict[str, str] = {}
-    name = None
-    for _ in range(_MAX_HEADERS + 1):
-        line = _read_line(reader)
-        if line in (b"\r\n", b"\n"):
-            return headers
-        if line[:1] in (b" ", b"\t") and name is not None:
-            headers[name] += " " + line.strip().decode("latin-1")
-            continue
-        field, colon, value = line.decode("latin-1").partition(":")
-        name = field.strip().lower()
-        if not colon or not name:
-            raise ValueError(f"malformed header line {line[:80]!r}")
-        value = value.strip()
-        headers[name] = f"{headers[name]}, {value}" if name in headers else value
-    raise ValueError(f"more than {_MAX_HEADERS} header lines")
-
-
-def _read_chunked(reader: BinaryIO) -> bytes:
-    chunks, total = [], 0
-    while True:
-        field = _read_line(reader).split(b";", 1)[0].strip()
-        if not _HEX_RE.fullmatch(field):
-            raise ValueError(f"malformed chunk size {field[:80]!r}")
-        size = int(field, 16)
-        if not size:
-            break
-        total += size
-        if total > _MAX_BODY:
-            raise ValueError(f"chunked body is over the {_MAX_BODY}-byte cap")
-        chunk = _read_exactly(reader, size + 2)
-        if chunk[-2:] != b"\r\n":
-            raise ValueError("chunk does not end in CRLF")
-        chunks.append(chunk[:-2])
-    _read_headers(reader)  # the trailer section
-    return b"".join(chunks)
-
-
-def _read_exactly(reader: BinaryIO, size: int) -> bytes:
-    # size is at most _MAX_BODY + 2, so one read allocates no more than that
-    data = reader.read(size)
-    if len(data) != size:
-        raise ValueError(f"connection closed after {len(data)} of {size} body bytes")
-    return data
-
-
-def _tokens(value: str) -> list[str]:
-    """The lower-case items of a comma-separated header value."""
-    return [token.strip().lower() for token in value.split(",")]
-
-
-def _close_all(connections: list[_Connection]) -> None:
+def _close_all(connections: list[Connection]) -> None:
     for conn in connections:
         conn.close()
-
-
-def _proxy_auth(proxy_url: SplitResult) -> dict[str, str]:
-    """The Proxy-Authorization header for a proxy URL's credentials, if it has any."""
-    if proxy_url.username is None:
-        return {}
-    import base64
-    from urllib.parse import unquote
-
-    credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
-    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")}
 
 
 def make_backend(kind: str, mock_seed: int, endpoint: str) -> Backend:

@@ -10,9 +10,9 @@ substitution. A doubled brace renders as a literal brace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import read_text
 
@@ -34,8 +34,7 @@ class UnknownTemplate(KeyError):
     """Requested template name is not in the template file."""
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(NamedTuple):
     name: str
     body: str
 

@@ -10,14 +10,11 @@ record's "ensemble" field in its output file.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from . import DEFAULT_MODEL
 from .corpus import UtteranceRecord, is_blank
 from .llm import Backend, CompletionCache, CompletionRequest, complete
-
-logger = logging.getLogger(__name__)
 
 SELECTION_INSTRUCTION = (
     "You are a text refinement assistant. Choose the most comprehensive and "
@@ -33,16 +30,20 @@ SOURCE_LONGEST = "longest_fallback"
 SOURCE_ALL_SHORT = "all_short_longest"
 
 
-@dataclass
-class RefinementConfig:
-    """Knobs for the filter-and-select refinement pass."""
-
+class _ConfigFields(NamedTuple):
     min_length: int = DEFAULT_MIN_LENGTH
     length_unit: str = "characters"  # or "tokens"
     selector: str = "llm"  # or "longest_only"
-    model_priority: list[str] = field(default_factory=list)
+    model_priority: Sequence[str] = ()
 
-    def __post_init__(self) -> None:
+
+class RefinementConfig(_ConfigFields):
+    """Knobs for the filter-and-select refinement pass, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RefinementConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_length < 1:
             raise ValueError("min_length must be >= 1")
         if self.length_unit not in ("characters", "tokens"):
@@ -51,10 +52,10 @@ class RefinementConfig:
             raise ValueError(f"unknown selector {self.selector!r}")
         if len(set(self.model_priority)) != len(self.model_priority):
             raise ValueError("model_priority contains duplicates")
+        return self
 
 
-@dataclass
-class RefinementOutcome:
+class RefinementOutcome(NamedTuple):
     """Result of refining one record; chosen is always one of the candidates."""
 
     chosen: str

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .corpus import Corpus, is_blank
@@ -42,11 +41,13 @@ class EmptyReference(ValueError):
     """Reference text normalized to zero tokens; WER is undefined."""
 
 
-@dataclass(frozen=True)
 class NormalizedTokens:
     """Lowercase tokens of one normalized text."""
 
-    tokens: tuple[str, ...]
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple[str, ...]):
+        self.tokens = tokens
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -196,22 +197,21 @@ def wer(ref: NormalizedTokens | Sequence[str], hyp: NormalizedTokens | Sequence[
     return distance(ref_tokens, hyp) / len(ref_tokens)
 
 
-@dataclass(frozen=True)
-class WerCell:
+class WerCell(NamedTuple):
     """Micro-averaged WER of one (model, class) pair."""
 
     wer: float
     utterances: int
 
 
-@dataclass
-class WerReport:
-    """Per-model, per-class WER aggregate over a corpus."""
+class WerReport(NamedTuple):
+    """Per-model, per-class WER aggregate over a corpus, and the count of
+    records skipped for each reason."""
 
     cells: dict[tuple[str, str], WerCell]
     class_counts: dict[str, int]
     models: list[str]
-    skipped: dict[str, int] = field(default_factory=dict)
+    skipped: dict[str, int]
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -121,7 +121,9 @@ class Reply:
     """One scripted response. ``close`` drops the connection after it
     without a ``Connection: close`` header, as a server dropping an idle
     keep-alive connection does. ``raw``, when set, is sent as it is in place
-    of a response built from ``status``, ``body`` and ``headers``."""
+    of a response built from ``status``, ``body`` and ``headers``; with
+    ``drip``, its body, the part after its head, follows the head one byte
+    every ``drip`` seconds, until the client hangs up."""
 
     status: int = 200
     body: object = field(default_factory=lambda: chat_body("sad"))
@@ -129,6 +131,7 @@ class Reply:
     delay: float = 0.0
     close: bool = False
     raw: bytes | None = None
+    drip: float = 0.0
 
 
 @dataclass
@@ -164,7 +167,17 @@ class _Handler(BaseHTTPRequestHandler):
         url = self.path if "://" in self.path else f"http://{self.headers['Host']}{self.path}"
         reply = self.server.record(Received(self.command, self.path, url, self.headers, json.loads(raw)))
         time.sleep(reply.delay)
-        if reply.raw is not None:
+        if reply.raw is not None and reply.drip:
+            head, blank, body = reply.raw.partition(b"\r\n\r\n")
+            try:
+                self.wfile.write(head + blank)
+                for i in range(len(body)):
+                    time.sleep(reply.drip)
+                    self.wfile.write(body[i : i + 1])
+            except OSError:  # the client gave up
+                self.close_connection = True
+                return
+        elif reply.raw is not None:
             self.wfile.write(reply.raw)
         else:
             body = (reply.body if isinstance(reply.body, str) else json.dumps(reply.body)).encode("utf-8")

@@ -200,6 +200,22 @@ class TestRefine:
         assert len(sent) == 1
         assert len((cache / "completions.jsonl").read_text(encoding="utf-8").splitlines()) == 1
 
+    def test_how_each_record_was_chosen_is_counted(self, tmp_path, monkeypatch, capsys):
+        from textemo.llm import MockBackend
+
+        monkeypatch.setattr(MockBackend, "send", lambda self, request: "I think so")
+        infile = tmp_path / "in.json"
+        objects = [
+            make_entry("Ses01F_01_F000", models={"whispertiny": "i think so", "hubertlarge": "i think so yes"}),
+            make_entry("Ses01F_01_M001", models={"whispertiny": "well i suppose", "hubertlarge": "i suppose so"}),
+            make_entry("Ses01F_01_F002", models={"whispertiny": "no", "hubertlarge": "nah"}),
+        ]
+        write_corpus(objects, infile)
+        assert main(["refine", "--in", str(infile), "--out", str(tmp_path / "out.json")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "chosen by: llm_selected=1, longest_fallback=1, all_short_longest=1"
+        )
+
     def test_zero_min_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
         argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--min-length", "0"]
         assert main(argv) == 1
@@ -270,6 +286,21 @@ class TestRun:
         assert (out_a / "demo.predictions.json").read_bytes() == (out_b / "demo.predictions.json").read_bytes()
         warm_log = [json.loads(l) for l in (out_b / "demo.log.jsonl").read_text().splitlines()]
         assert warm_log[-1]["cache_hit_rate"] == 1.0
+
+    def test_malformed_proxy_stops_a_cold_run_only(self, tmp_path, fixture_corpus, loopback, monkeypatch, capsys):
+        monkeypatch.setenv("HTTPS_PROXY", "socks5://127.0.0.1:1080")
+        cache = tmp_path / "cache"
+        argv = ["run", str(fixture_corpus), "--name", "demo", "--text-source", "whispertiny", "--cache-dir", str(cache)]
+        http = ["--backend", "http", "--endpoint", f"https://127.0.0.1:{loopback.server_address[1]}/v1/chat"]
+        assert main(argv + http + ["--out-dir", str(tmp_path / "cold")]) == 1
+        assert "error: proxy 'socks5://127.0.0.1:1080' is not an http URL" in capsys.readouterr().err
+        assert loopback.connections == 0
+        assert not (tmp_path / "cold").exists() and not (cache / "completions.jsonl").exists()
+        # the proxy is read at the first request, so a run that the cache answers in full never reads it
+        assert main(argv + ["--out-dir", str(tmp_path / "mock")]) == 0  # the fingerprint ignores the backend
+        assert main(argv + http + ["--out-dir", str(tmp_path / "warm")]) == 0
+        warm, mock = (tmp_path / out / "demo.predictions.json" for out in ("warm", "mock"))
+        assert warm.read_bytes() == mock.read_bytes()
 
     def test_duplicate_id_is_an_error_and_writes_nothing(self, tmp_path, capsys):
         path, raw, first = corpus_with_repeated_target(tmp_path, copies=1)

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from textemo.httpclient import _MAX_BODY
 from textemo.llm import (
     AuthError,
     BackendExhausted,
@@ -24,7 +25,6 @@ from textemo.llm import (
     RateLimited,
     RetryPolicy,
     TransportError,
-    _MAX_BODY,
     complete,
     fan_out,
     normalize_label,
@@ -760,6 +760,24 @@ class TestHttpBackend:
         # the second reply is read where the first one's framing ended
         assert [backend.send(fixture_request(f"p{n}")) for n in range(2)] == ["sad"] * 2
         assert loopback.connections == (2 if close else 1)
+
+    def test_a_dripping_reply_is_cut_at_the_timeout_and_not_cached(self, loopback, tmp_path):
+        from textemo.llm import HttpBackend
+
+        # the whole body would take 0.05 s * 47 bytes = 2.35 s
+        drip = Reply(raw=b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(SAD) + SAD, drip=0.05)
+        loopback.script(drip, drip, drip)
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k", timeout=0.5)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="request failed"):
+            backend.send(fixture_request())
+        assert 0.5 <= time.monotonic() - started < 1.5
+        cache = CompletionCache(tmp_path)
+        with pytest.raises(BackendExhausted, match="request failed"):
+            complete(fixture_request(), backend, cache=cache, retry=no_sleep_policy(2))
+        assert not cache.path.exists()
+        assert backend.send(fixture_request()) == "sad"  # on a new connection
+        assert (len(loopback.received), loopback.connections) == (4, 4)
 
     def test_connection_close_header_opens_a_new_connection(self, loopback, caplog):
         from textemo.llm import HttpBackend

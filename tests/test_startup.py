@@ -1,7 +1,8 @@
 """What a fresh process imports: the package loads no stage module; the CLI
-loads a stage module, the backend layer `textemo.llm` or `http.client` only
-when a command runs it; the corpus load path loads no `dataclasses`; and an
-HTTP run works with `requests` unimportable."""
+loads a stage module or the backend layer `textemo.llm` only when a command
+runs it, and the HTTP client (`textemo.httpclient`, `http.client`, `ssl`,
+`urllib.request`) only when a request goes out; no command loads
+`dataclasses`; and an HTTP run works with `requests` unimportable."""
 
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ from textemo.fixtures import generate_corpus, write_corpus
 
 DEFERRED = (
     "http.client",
+    "ssl",
+    "urllib.request",
+    "textemo.httpclient",
     "textemo.llm",
     "textemo.experiments",
     "textemo.wer",
@@ -50,7 +54,7 @@ def test_evaluate_process_loads_no_unused_stage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, stages", [("validate", []), ("wer", ["textemo.wer", "dataclasses"])], ids=["validate", "wer"]
+    "command, stages", [("validate", []), ("wer", ["textemo.wer"])], ids=["validate", "wer"]
 )
 def test_corpus_command_process_loads_only_its_stage(tmp_path, command, stages):
     corpus = tmp_path / "corpus.json"
@@ -61,6 +65,30 @@ def test_corpus_command_process_loads_only_its_stage(tmp_path, command, stages):
         "code": 0,
         "loaded": stages,
     }
+
+
+@pytest.mark.parametrize("backend", ["mock", "http"])
+def test_run_process_loads_no_http_client(tmp_path, backend):
+    """A mock run, and an HTTP run that the cache answers in full, load
+    neither the HTTP client nor `dataclasses`."""
+    corpus = tmp_path / "corpus.json"
+    write_corpus(generate_corpus(seed=21, n_records=25), corpus)
+    argv = ["run", str(corpus), "--name", "demo", "--text-source", "whispertiny"]
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    if backend == "http":
+        # the fingerprint ignores the backend, so a mock run fills the cache
+        assert main([*argv, "--out-dir", str(tmp_path / "mock")]) == 0
+    # nothing listens on port 9; a request sent there would fail the run
+    argv += ["--backend", backend, "--endpoint", "http://127.0.0.1:9/v1/chat/completions"]
+    assert _probe([*argv, "--out-dir", str(tmp_path / "probe")], TEXTEMO_API_KEY="k") == {
+        "stages_on_package_import": [],
+        "http_client_on_import": False,
+        "code": 0,
+        "loaded": ["textemo.llm", "textemo.experiments"],
+    }
+    if backend == "http":
+        probed, mocked = (tmp_path / out / "demo.predictions.json" for out in ("probe", "mock"))
+        assert probed.read_bytes() == mocked.read_bytes()
 
 
 def test_corpus_import_loads_no_dataclasses():
@@ -85,15 +113,16 @@ def test_http_run_needs_no_requests(tmp_path, loopback):
     assert len(predictions) == targets and {p["prediction"] for p in predictions} == {"sad"}
 
 
-def _probe(argv: list[str]) -> dict:
-    """What a fresh process running the CLI on argv imported, and its exit code."""
+def _probe(argv: list[str], **env: str) -> dict:
+    """What a fresh process running the CLI on argv, with env added to its
+    environment, imported, and its exit code."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=_env(), capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", PROBE, *argv], env=_env(**env), capture_output=True, text=True, timeout=60, check=True
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _env() -> dict[str, str]:
-    """This environment, with the source tree importable."""
+def _env(**env: str) -> dict[str, str]:
+    """This environment plus env, with the source tree importable."""
     src = str(Path(textemo.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
