@@ -64,12 +64,16 @@ KIND_SCRIPT = "script"
 KIND_IMPRO = "impro"
 KIND_BARE = "bare"
 
-# One pattern per id segment, each matched against the whole segment.
-_HEAD_RE = re.compile(r"Ses(\d{2})([A-Z])")
-_TAIL_RE = re.compile(r"([FM])(\d{3})")
-_SCRIPT_RE = re.compile(r"script(\d{2})")
-_IMPRO_RE = re.compile(r"impro(\d{2})")
-_BARE_RE = re.compile(r"(\d{2})")
+# The id grammar, one pattern per underscore-separated segment. _ID_RE joins
+# them to match a whole id at once; _id_fault matches them one at a time, on
+# text it has found to be ASCII, to name the segment that fails.
+_HEAD = r"Ses(\d{2})([A-Z])"
+_SCRIPT = r"script\d{2}"
+_IMPRO = r"impro\d{2}"
+_BARE = r"\d{2}"
+_SUBSET = r"\d"
+_TAIL = r"([FM])(\d{3})"
+_ID_RE = re.compile(rf"({_HEAD})_(?:({_SCRIPT})(?:_({_SUBSET}))?|({_IMPRO})|({_BARE}))_{_TAIL}", re.ASCII)
 
 
 class MalformedId(ValueError):
@@ -121,77 +125,44 @@ def parse_id(raw: str) -> UtteranceId:
 
     Raises MalformedId with a reason naming the failing segment.
     """
-    if not raw:
-        raise MalformedId(raw, "id is empty")
-    if not raw.isascii():
-        raise MalformedId(raw, "id contains non-ASCII characters")
+    match = _ID_RE.fullmatch(raw)
+    if match is None or not 1 <= int(match[2]) <= 5:
+        raise MalformedId(raw, _id_fault(raw))
+    head, session, recording, script, subset, impro, bare, sex, index = match.groups()
+    middle = script or impro or bare  # each kind ends in its 2-digit dialogue index
+    kind = KIND_SCRIPT if script else KIND_IMPRO if impro else KIND_BARE
+    # Positional, in field order: half the cost of keywords, once per record.
+    return UtteranceId(
+        int(session), recording, kind, int(middle[-2:]), None if subset is None else int(subset),
+        sex, int(index), raw, head, f"{head}/{middle}",
+    )
 
+
+def _id_fault(raw: str) -> str:
+    """Why `raw` is not an utterance id: the first rule it breaks, segments read head, tail, middle."""
+    if not raw:
+        return "id is empty"
+    if not raw.isascii():
+        return "id contains non-ASCII characters"
     parts = raw.split("_")
     if len(parts) < 3:
-        raise MalformedId(raw, "expected at least 3 underscore-separated segments")
+        return "expected at least 3 underscore-separated segments"
     if len(parts) > 4:
-        raise MalformedId(raw, "too many underscore-separated segments")
-
-    head = _HEAD_RE.fullmatch(parts[0])
-    if not head:
-        raise MalformedId(
-            raw,
-            f"first segment {parts[0]!r} must be 'Ses' + 2-digit session + recording letter",
-        )
-    session = int(head.group(1))
-    if not 1 <= session <= 5:
-        raise MalformedId(raw, f"session {head.group(1)} outside 01..05")
-    recording = head.group(2)
-
-    tail = _TAIL_RE.fullmatch(parts[-1])
-    if not tail:
-        raise MalformedId(
-            raw,
-            f"last segment {parts[-1]!r} must be F or M followed by a 3-digit index",
-        )
-    speaker_sex = tail.group(1)
-    utterance_index = int(tail.group(2))
-
-    middle = parts[1:-1]
-    subset: int | None = None
+        return "too many underscore-separated segments"
+    head, *middle, tail = parts
+    if not (match := re.fullmatch(_HEAD, head)):
+        return f"first segment {head!r} must be 'Ses' + 2-digit session + recording letter"
+    if not 1 <= int(match[1]) <= 5:
+        return f"session {match[1]} outside 01..05"
+    if not re.fullmatch(_TAIL, tail):
+        return f"last segment {tail!r} must be F or M followed by a 3-digit index"
     if len(middle) == 2:
-        script = _SCRIPT_RE.fullmatch(middle[0])
-        if not script:
-            raise MalformedId(
-                raw, f"subset segment is only allowed after a 'scriptNN' segment, got {middle[0]!r}"
-            )
-        if not middle[1].isdigit() or len(middle[1]) != 1:
-            raise MalformedId(raw, f"subset segment {middle[1]!r} must be a single digit")
-        kind = KIND_SCRIPT
-        dialogue_index = int(script.group(1))
-        subset = int(middle[1])
-    else:
-        seg = middle[0]
-        if m := _SCRIPT_RE.fullmatch(seg):
-            kind, dialogue_index = KIND_SCRIPT, int(m.group(1))
-        elif m := _IMPRO_RE.fullmatch(seg):
-            kind, dialogue_index = KIND_IMPRO, int(m.group(1))
-        elif m := _BARE_RE.fullmatch(seg):
-            kind, dialogue_index = KIND_BARE, int(m.group(1))
-        else:
-            raise MalformedId(
-                raw, f"middle segment {seg!r} must be 'scriptNN', 'improNN', or 'NN'"
-            )
-
-    # Positional, in field order: half the cost of keywords, once per record.
-    # Each segment was fullmatched above, so the keys spell the parsed fields.
-    return UtteranceId(
-        session,
-        recording,
-        kind,
-        dialogue_index,
-        subset,
-        speaker_sex,
-        utterance_index,
-        raw,
-        parts[0],
-        f"{parts[0]}/{middle[0]}",
-    )
+        if not re.fullmatch(_SCRIPT, middle[0]):
+            return f"subset segment is only allowed after a 'scriptNN' segment, got {middle[0]!r}"
+        if not re.fullmatch(_SUBSET, middle[1]):
+            return f"subset segment {middle[1]!r} must be a single digit"
+    # Reached only when every other segment passed, so the lone middle one broke the grammar.
+    return f"middle segment {middle[0]!r} must be 'scriptNN', 'improNN', or 'NN'"
 
 
 class UtteranceRecord(NamedTuple):
@@ -397,10 +368,7 @@ def read_objects(path: str | Path) -> list[dict]:
     if not stripped:
         raise SchemaError(0, None, "file is empty")
     if stripped.startswith("["):
-        data = read_json(path, text)  # unstripped, so an error's line number is the file's
-        if not isinstance(data, list):
-            raise SchemaError(0, None, "top-level JSON value is not an array")
-        return data
+        return read_json(path, text)  # unstripped, so an error's line number is the file's
     try:
         single = json.loads(stripped)
     except json.JSONDecodeError:

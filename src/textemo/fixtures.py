@@ -75,9 +75,15 @@ def generate_corpus(
     """Generate `n_records` corpus objects, deterministic in `seed`.
 
     Records are grouped into sessions and scripts (mixing script, impro, and
-    bare id kinds) and appear in conversation order. Raises ValueError when
-    the dialogue keys run out before `n_records` records are generated.
+    bare id kinds) and appear in conversation order. Raises ValueError for a
+    negative `n_records`, for a rate outside [0, 1], and when the dialogue
+    keys run out before `n_records` records are generated.
     """
+    if n_records < 0:
+        raise ValueError(f"record count must not be negative, got {n_records}")
+    for name, rate in (("need_prediction_rate", need_prediction_rate), ("short_rate", short_rate)):
+        if not 0 <= rate <= 1:
+            raise ValueError(f"{name} must be within [0, 1], got {rate}")
     rng = random.Random(seed)
     weights = label_weights or DEFAULT_LABEL_WEIGHTS
     labels = list(weights)

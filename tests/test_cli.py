@@ -12,6 +12,8 @@ from textemo.fixtures import generate_corpus, write_corpus
 
 from conftest import Reply, make_entry
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
 
 @pytest.fixture
 def fixture_corpus(tmp_path) -> Path:
@@ -50,6 +52,11 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "violation" in out
         assert "malformed id" in out
+
+    def test_one_malformed_id_per_reason(self, capsys):
+        # CI runs the same corpus through the console script against the same file
+        assert main(["validate", str(GOLDEN_DIR / "malformed_ids.json")]) == 1
+        assert capsys.readouterr().out == (GOLDEN_DIR / "malformed_ids.validate.txt").read_text(encoding="utf-8")
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
@@ -215,6 +222,27 @@ class TestRefine:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "chosen by: llm_selected=1, longest_fallback=1, all_short_longest=1"
         )
+
+    def test_a_failed_selection_leaves_its_record_unrefined(self, tmp_path, monkeypatch, capsys):
+        from textemo.llm import BadRequest, MockBackend
+
+        send = MockBackend.send
+
+        def reject_one(self, request):
+            if "rejected text" in request.prompt:
+                raise BadRequest("request rejected (HTTP 400)", request.fingerprint)
+            return send(self, request)
+
+        monkeypatch.setattr(MockBackend, "send", reject_one)
+        infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
+        objects = [make_entry("Ses01F_01_F000"), make_entry("Ses01F_01_M001", text="rejected text")]
+        write_corpus(objects + [make_entry("Ses01F_01_F002", text="well i do")], infile)
+        assert main(["refine", "--in", str(infile), "--out", str(outfile), "--concurrency", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert "refined 2/3 record(s)" in out
+        assert err.splitlines()[-1] == "unrefined after retries: ['Ses01F_01_M001']"
+        refined = json.loads(outfile.read_text(encoding="utf-8"))
+        assert ["ensemble" in obj for obj in refined] == [True, False, True]
 
     def test_zero_min_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
         argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--min-length", "0"]
@@ -559,6 +587,22 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(path), "--corpus", str(corpus)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_predictions_outside_the_corpus_are_counted_and_skipped(self, tmp_path, capsys):
+        from textemo.metrics import evaluate
+
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(
+            json.dumps([make_entry("Ses01F_01_F000", emotion="sad"), make_entry("Ses01F_01_F001", emotion="angry")])
+        )
+        predictions = tmp_path / "pred.json"
+        entries = [("Ses01F_01_F000", "sad"), ("Ses02F_01_F000", "sad"), ("Ses01F_01_F001", "sad"), ("Ses03M_01_M000", "angry")]
+        predictions.write_text(json.dumps([{"id": pid, "prediction": label} for pid, label in entries]))
+        eval_out = tmp_path / "eval.json"
+        argv = ["evaluate", "--predictions", str(predictions), "--corpus", str(corpus), "--eval-out", str(eval_out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "warning: 2 prediction id(s) not in corpus\n"
+        assert json.loads(eval_out.read_text()) == evaluate([("sad", "sad"), ("angry", "sad")]).to_dict()
+
     def test_no_scoreable_pairs(self, tmp_path):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps([make_entry("Ses01F_01_F000", emotion="frustration")]))
@@ -585,6 +629,28 @@ class TestGenFixture:
         path = tmp_path / "gen.json"
         main(["gen-fixture", "--out", str(path), "--records", "40", "--seed", "3"])
         assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            pytest.param("--records", "-5", "record count must not be negative, got -5", id="negative-records"),
+            pytest.param("--need-prediction-rate", "1.5", "need_prediction_rate must be within [0, 1], got 1.5", id="rate-above-one"),
+            pytest.param("--short-rate", "-1", "short_rate must be within [0, 1], got -1.0", id="negative-rate"),
+            pytest.param("--short-rate", "nan", "short_rate must be within [0, 1], got nan", id="nan-rate"),
+        ],
+    )
+    def test_values_it_cannot_honour_are_errors(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "gen.json"
+        assert main(["gen-fixture", "--out", str(out), option, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_zero_records_is_an_empty_corpus(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        assert main(["gen-fixture", "--out", str(path), "--records", "0"]) == 0
+        assert path.read_text(encoding="utf-8") == "[]\n"
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote 0 record(s) to {path}", "ok: 0 record(s)"]
 
 
 class TestUnreadableInput:

@@ -88,6 +88,27 @@ class TestParseId:
         with pytest.raises(MalformedId, match="first segment"):
             parse_id("Xes01F_script01_M023")
 
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            ("", "id is empty"),
+            ("Ses01F_impro01_F00é", "id contains non-ASCII characters"),
+            ("Ses01F_F000", "expected at least 3 underscore-separated segments"),
+            ("Ses01F_script01_3_3_M023", "too many underscore-separated segments"),
+            ("Ses1F_script01_M023", "first segment 'Ses1F' must be 'Ses' + 2-digit session + recording letter"),
+            ("Ses06F_script01_X023", "session 06 outside 01..05"),
+            ("Ses01F_script01_X023", "last segment 'X023' must be F or M followed by a 3-digit index"),
+            ("Ses01F_impro01_3_M023", "subset segment is only allowed after a 'scriptNN' segment, got 'impro01'"),
+            ("Ses01F_script01_30_M023", "subset segment '30' must be a single digit"),
+            ("Ses01F_dialog01_M023", "middle segment 'dialog01' must be 'scriptNN', 'improNN', or 'NN'"),
+        ],
+    )
+    def test_each_reason_is_exact(self, raw, reason):
+        with pytest.raises(MalformedId) as excinfo:
+            parse_id(raw)
+        assert (excinfo.value.raw, excinfo.value.reason) == (raw, reason)
+        assert str(excinfo.value) == f"malformed id {raw!r}: {reason}"
+
 
 class TestScriptKey:
     def test_subsets_share_key(self):
@@ -202,6 +223,28 @@ class TestRecordFromObject:
         with pytest.raises(SchemaError, match="malformed id"):
             record_from_object({"id": "Ses01_F000", "whispertiny": "hi"}, 4)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (["Ses01F_01_F000"], "record 1: expected a JSON object"),
+            ({"id": 7}, "record 1, key 'id': expected a string"),
+            ({"emotion": 3}, "record 1, key 'emotion': expected a string or null"),
+            ({"Ground truth": None}, "record 1, key 'Ground truth': expected a string"),
+            ({"ensemble": ["hi"]}, "record 1, key 'ensemble': expected a string"),
+            ({"speaker": 1}, "record 1, key 'speaker': expected a string"),
+            (
+                {"Ground truth": "hi", "groundtruth": "hi"},
+                "record 1, key 'groundtruth': duplicate ground-truth key (also 'Ground truth')",
+            ),
+        ],
+    )
+    def test_shape_violations(self, obj, message):
+        if isinstance(obj, dict):
+            obj = {"id": "Ses01F_01_F001", "whispertiny": "hi", **obj}
+        records, violations = parse_records([make_entry("Ses01F_01_F000"), obj])
+        assert [rec.id.raw for rec in records] == ["Ses01F_01_F000"]
+        assert [str(v) for v in violations] == [message]
+
 
 class TestLoadCorpus:
     def test_single_sample_entry(self, sample_corpus_file):
@@ -216,6 +259,11 @@ class TestLoadCorpus:
         path = tmp_path / "empty.json"
         path.write_text("[]", encoding="utf-8")
         assert len(load_corpus(path).records) == 0
+
+    def test_pretty_printed_single_object(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(make_entry("Ses01F_01_F000"), indent=2) + "\n", encoding="utf-8")
+        assert [rec.id.raw for rec in load_corpus(path).records] == ["Ses01F_01_F000"]
 
     def test_json_lines_autodetect(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -62,6 +62,13 @@ class TestGenerateCorpus:
                 subsets_by_key.setdefault(uid.script_key, set()).add(uid.subset)
         assert any(len(subsets) > 1 for subsets in subsets_by_key.values())
 
+    def test_rates_at_the_bounds_are_honoured(self):
+        always = generate_corpus(seed=6, n_records=30, need_prediction_rate=1.0, short_rate=0.0)
+        never = generate_corpus(seed=6, n_records=30, need_prediction_rate=0.0, short_rate=1.0)
+        assert {obj["need_prediction"] for obj in always} == {"yes"}
+        assert {obj["need_prediction"] for obj in never} == {"no"}
+        assert {obj["whispertiny"] for obj in never} <= {"Yeah", "Hi", "Oh", "Hmm", "Okay"}
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_raises_once_dialogue_ids_run_out(self, seed):
         # 405 dialogue keys x at most 3 subsets x 8 utterances < 10_000

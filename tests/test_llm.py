@@ -800,6 +800,14 @@ class TestHttpBackend:
             pytest.param(b"HTTP/1.1 200 OK\r\n" + b"".join(b"X-%d: 1\r\n" % n for n in range(101)) + b"\r\n", id="101-headers"),
             pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 5, 6\r\n\r\n" + SAD, id="conflicting-content-lengths"),
             pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % 10**15 + SAD, id="huge-content-length"),
+            pytest.param(b"HTTP/1.1 2000 OK\r\nContent-Length: %d\r\n\r\n" % len(SAD) + SAD, id="malformed-status-line"),
+            pytest.param(b"HTTP/1.1 200 OK\r\nX-No-Colon\r\nContent-Length: %d\r\n\r\n" % len(SAD) + SAD, id="header-without-colon"),
+            pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n" + SAD + b"\r\n0\r\n\r\n", id="bad-chunk-size"),
+            pytest.param(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n" % len(SAD) + SAD + b"!!0\r\n\r\n",
+                id="chunk-without-crlf",
+            ),
+            pytest.param(b"HTTP/1.1 200 OK\r\nContent-Le", id="closed-inside-the-head"),
         ],
     )
     def test_framing_errors_are_transport_errors(self, loopback, raw):
@@ -811,6 +819,16 @@ class TestHttpBackend:
             backend.send(fixture_request())
         assert backend.send(fixture_request()) == "sad"  # on a new connection
         assert loopback.connections == 2
+
+    def test_a_204_reply_is_a_transport_error_on_a_kept_connection(self, loopback):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(raw=b"HTTP/1.1 204 No Content\r\n\r\n"))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        with pytest.raises(TransportError, match="unexpected HTTP 204"):
+            backend.send(fixture_request())
+        assert backend.send(fixture_request()) == "sad"
+        assert loopback.connections == 1
 
     # The chunked and to-close bodies would parse as "sad" (JSON allows leading
     # blanks) but for their size; the Content-Length is refused before the body.
