@@ -31,8 +31,6 @@ from . import metrics
 if TYPE_CHECKING:
     from .llm import CompletionCache
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_IO = 2
@@ -40,6 +38,7 @@ EXIT_BACKEND = 3
 
 
 def _make_cache(args: argparse.Namespace) -> CompletionCache | None:
+    """The log in --cache-dir; without one, each run keeps its completions in memory."""
     from .llm import CompletionCache
 
     return CompletionCache(args.cache_dir) if args.cache_dir else None
@@ -104,7 +103,7 @@ def cmd_wer(args: argparse.Namespace) -> int:
 
 def cmd_refine(args: argparse.Namespace) -> int:
     from . import refine as refine_mod
-    from .llm import BackendError, fan_out, make_backend
+    from .llm import BackendError, CompletionCache, fan_out, make_backend
 
     objects = corpus_mod.read_objects(args.infile)
     corpus = corpus_mod.build_corpus(objects, strict=args.strict)
@@ -115,19 +114,18 @@ def cmd_refine(args: argparse.Namespace) -> int:
         model_priority=args.model_priority.split(",") if args.model_priority else [],
     )
     backend = make_backend(args.backend, args.mock_seed, args.endpoint) if cfg.selector == "llm" else None
-    cache = _make_cache(args)
+    cache = CompletionCache(args.cache_dir or None)  # in memory without a directory: one candidate list asks once
 
     outcomes = fan_out(
         lambda record: refine_mod.refine_record(record, cfg, backend=backend, cache=cache, llm_model=args.model),
         corpus.records,
         args.concurrency if cfg.selector == "llm" else 1,
     )
-    unrefined: list[str] = []
+    unrefined: dict[str, str] = {}  # id -> why its selection failed
     sources: Counter[str] = Counter()
     for obj, record, outcome in zip(objects, corpus.records, outcomes):
         if isinstance(outcome, BackendError):
-            logger.error("record %s left unrefined: %s", record.id.raw, outcome)
-            unrefined.append(record.id.raw)
+            unrefined[record.id.raw] = str(outcome)
         else:
             obj[corpus_mod.ENSEMBLE_KEY] = outcome.chosen
             sources[outcome.chosen_source] += 1
@@ -138,7 +136,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     kinds = (refine_mod.SOURCE_LLM, refine_mod.SOURCE_LONGEST, refine_mod.SOURCE_ALL_SHORT)
     print("chosen by: " + ", ".join(f"{kind}={sources[kind]}" for kind in kinds))
     if unrefined:
-        print(f"unrefined after retries: {unrefined}", file=sys.stderr)
+        print(f"{len(unrefined)} record(s) left unrefined: {unrefined}", file=sys.stderr)
         return EXIT_BACKEND
     return EXIT_OK
 

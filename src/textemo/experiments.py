@@ -162,7 +162,11 @@ def run_experiment(
     """Predict every need_prediction record and evaluate when truth exists.
 
     `templates` is a parsed template mapping; None means the shipped ones.
+    Without a cache, the run keeps its completions in a map in memory, so it
+    sends each fingerprint once.
     """
+    if cache is None:
+        cache = CompletionCache(None)
     if templates is None:
         templates = load_templates()
     if spec.prompt not in templates:
@@ -214,8 +218,6 @@ def run_experiment(
         else:
             predictions.append(outcome)
             truth_pairs.append((record.emotion, outcome.prediction))
-    for failure in failures:
-        logger.error("record %s failed: %s", failure["id"], failure["error"])
 
     eval_report: EvalReport | None = None
     if any(truth is not None for truth, _ in truth_pairs):
@@ -288,7 +290,8 @@ def run_matrix(
     ua_definition: str = UA_MACRO_RECALL,
 ) -> list[dict]:
     """Run every spec sequentially against a shared cache and one parse of
-    the templates.
+    the templates. Without a cache, each row keeps its own map in memory:
+    rows may use different backends, and one must not answer for another.
 
     A template file that does not load stops the matrix before any row
     runs. A row that raises ValueError or BackendError is reported with its

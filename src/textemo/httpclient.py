@@ -1,24 +1,31 @@
 """HTTP/1.1 over one keep-alive socket: the wire of ``llm.HttpBackend``.
 
-The backend imports this module when it opens its first connection, so a
-run that the cache answers loads neither it nor ``http.client``.
+The backend imports this module when a thread opens its first connection,
+so a run that the cache answers loads neither it nor ``http.client``.
 ``http.client`` opens each connection, proxy tunnel and TLS included;
 ``Connection`` frames the requests and the replies on it.
 """
 
 from __future__ import annotations
 
+import functools
 import http.client
 import io
 import re
 import socket
 import time
-from typing import BinaryIO
-from urllib.parse import SplitResult
+import weakref
+from typing import TYPE_CHECKING, BinaryIO
+from urllib.parse import SplitResult, urlsplit
+from urllib.request import getproxies, proxy_bypass
+
+if TYPE_CHECKING:
+    import ssl
 
 _DIGITS_RE = re.compile(r"[0-9]+")
 _HEX_RE = re.compile(rb"[0-9A-Fa-f]+")
 _STATUS_RE = re.compile(rb"[1-9][0-9][0-9]")
+_CONTROL_RE = re.compile(r"[\x00-\x20\x7f]")
 # Limits http.client keeps on a reply: bytes per line, and header lines per head.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
@@ -27,16 +34,28 @@ _MAX_BODY = 4 << 20
 
 
 class Connection:
-    """One keep-alive HTTP/1.1 connection (RFC 9112). ``http.client`` opens
-    it; then each request leaves in one ``sendall`` and each reply is read
-    from one buffered reader that lasts as long as the socket.
+    """One keep-alive HTTP/1.1 connection (RFC 9112) that POSTs to ``url``,
+    the endpoint as given. ``host`` and ``target`` are its ``Host`` header
+    and request target, and ``headers`` the ones after ``Content-Length``,
+    in order; the caller has checked them for control characters.
 
-    A reply line may hold 65,536 bytes and a head 100 header lines, the
-    limits ``http.client`` keeps. Interim ``1xx`` replies are skipped. The
-    body is framed by chunked coding, by ``Content-Length``, or by the close
-    of the connection, and may hold ``_MAX_BODY`` bytes under each. The
-    connection is closed after ``Connection: close``, after a reply that is
-    not HTTP/1.1 and after a body that ends at the close.
+    Making one reads the proxy from the environment (``http_proxy``,
+    ``https_proxy``, ``all_proxy``, ``no_proxy``) and builds the request
+    head and the ``http.client`` opener; it sends nothing. An ``http``
+    endpoint behind a proxy is requested from it by absolute URL, an
+    ``https`` one through a CONNECT tunnel, and TLS is verified against the
+    system CA store. A malformed proxy variable is a ValueError. The socket
+    is opened by the first ``post`` and closed when the connection is
+    collected.
+
+    Each request leaves in one ``sendall`` and each reply is read from one
+    buffered reader that lasts as long as the socket. A reply line may hold
+    65,536 bytes and a head 100 header lines, the limits ``http.client``
+    keeps. Interim ``1xx`` replies are skipped. The body is framed by
+    chunked coding, by ``Content-Length``, or by the close of the
+    connection, and may hold ``_MAX_BODY`` bytes under each. The connection
+    is closed after ``Connection: close``, after a reply that is not
+    HTTP/1.1 and after a body that ends at the close.
 
     An exchange must end within ``timeout`` seconds of its start: each send
     and each read on the socket waits only for the time left. Opening the
@@ -46,8 +65,35 @@ class Connection:
     ValueError for a framing error or a body over the cap.
     """
 
-    def __init__(self, opener: http.client.HTTPConnection, timeout: float):
-        self._opener = opener
+    def __init__(self, url: str, host: str, target: str, headers: dict[str, str], timeout: float):
+        endpoint = urlsplit(url)
+        address = (endpoint.hostname, endpoint.port)
+        tunnel = None
+        proxies = getproxies()
+        proxy = proxies.get(endpoint.scheme) or proxies.get("all")
+        if proxy and not proxy_bypass(endpoint.netloc):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise ValueError(f"proxy {proxy!r} is not an http URL")
+            if endpoint.scheme == "http":
+                target = endpoint._replace(fragment="").geturl()
+                if _CONTROL_RE.search(target):
+                    raise ValueError(f"endpoint {url!r} or its headers hold a control character")
+                headers = {**headers, **_proxy_auth(proxy_url)}
+            else:
+                tunnel = (*address, _proxy_auth(proxy_url))
+            address = (proxy_url.hostname, proxy_url.port)
+        # Every request is _head, the body's length, _tail and the body, in the header order http.client used.
+        head = f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\nContent-Length: "
+        self._head = head.encode("latin-1")
+        self._tail = "".join(f"\r\n{name}: {value}" for name, value in headers.items()).encode("latin-1") + b"\r\n\r\n"
+        if endpoint.scheme == "https":
+            self._opener = http.client.HTTPSConnection(*address, timeout=timeout, context=_tls_context())
+        else:
+            self._opener = http.client.HTTPConnection(*address, timeout=timeout)
+        if tunnel is not None:
+            self._opener.set_tunnel(*tunnel)
+        weakref.finalize(self, self._opener.close)
         self._timeout = timeout
         self._socket: _Socket | None = None
         self._reader: BinaryIO | None = None  # the open socket's reader
@@ -58,15 +104,16 @@ class Connection:
             self._reader = self._socket = None
         self._opener.close()
 
-    def exchange(self, message: bytes) -> tuple[int, dict[str, str], bytes]:
-        """Send message and read the final reply: its status, its headers by
+    def post(self, body: bytes) -> tuple[int, dict[str, str], bytes]:
+        """POST body and read the final reply: its status, its headers by
         lower-case name, and its body.
 
         A connection left open by an earlier request may have been closed by
         the server while idle; it then ends before any reply byte arrives,
-        and is reopened and the message sent once more, at once and not
+        and is reopened and the request sent once more, at once and not
         counted as an attempt.
         """
+        message = b"%s%d%s%s" % (self._head, len(body), self._tail, body)
         deadline = time.monotonic() + self._timeout
         reused = self._reader is not None
         try:
@@ -223,7 +270,16 @@ def _tokens(value: str) -> list[str]:
     return [token.strip().lower() for token in value.split(",")]
 
 
-def proxy_auth(proxy_url: SplitResult) -> dict[str, str]:
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """The client TLS context of every connection in the process: loading the
+    system CA store takes tens of milliseconds, so it is built once."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
+def _proxy_auth(proxy_url: SplitResult) -> dict[str, str]:
     """The Proxy-Authorization header for a proxy URL's credentials, if it has any."""
     if proxy_url.username is None:
         return {}

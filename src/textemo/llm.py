@@ -18,7 +18,6 @@ falling back to OPENAI_API_KEY.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -30,14 +29,11 @@ import time
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
 from . import BACKEND_MOCK, DEFAULT_ENDPOINT
 from .metrics import EVAL_LABELS
-
-if TYPE_CHECKING:
-    from .httpclient import Connection
 
 logger = logging.getLogger(__name__)
 
@@ -181,18 +177,16 @@ class MockBackend:
 class HttpBackend:
     """Chat-completions client that speaks HTTP/1.1 over keep-alive sockets.
 
-    Building one checks the API key and the endpoint and nothing more. The
-    first connection, opened by the first request the cache does not
-    answer, does the set-up that every connection shares: it reads the
-    proxy from the environment (``http_proxy``, ``https_proxy``,
-    ``all_proxy``, ``no_proxy``), makes the opener and the request head, and
-    loads ``textemo.httpclient``, ``http.client`` and, for an ``https``
-    endpoint, ``ssl``. An ``http`` endpoint behind a proxy is requested from
-    it by absolute URL, an ``https`` one through a CONNECT tunnel. TLS is
-    verified against the system CA store.
-
-    Each thread keeps one connection, to the endpoint or to its proxy, and
-    each exchange on it must end within ``timeout`` seconds.
+    This class keeps the chat-completions contract: the API key, the
+    endpoint checks, the JSON body, the status mapping and the content
+    check. Building one checks the API key and the endpoint and nothing
+    more. Each thread makes its own ``httpclient.Connection`` on its first
+    request that the cache does not answer, and the first one in the process
+    loads ``textemo.httpclient`` and with it ``http.client``, ``ssl`` and
+    ``urllib.request``. The connection reads the proxy, makes the request
+    head and keeps one socket to the endpoint or to its proxy; each exchange
+    on it must end within ``timeout`` seconds. It closes when its thread
+    ends or when the backend is collected.
     """
 
     def __init__(self, endpoint: str = DEFAULT_ENDPOINT, api_key: str | None = None, timeout: float = 60.0):
@@ -207,7 +201,6 @@ class HttpBackend:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint {endpoint!r} is not an http or https URL")
         self.endpoint = endpoint
-        self._url = url
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
         if url.port not in (None, 443 if url.scheme == "https" else 80):
@@ -216,12 +209,7 @@ class HttpBackend:
         if _CONTROL_RE.search(self._target + self._host) or any("\r" in v or "\n" in v for v in self._headers.values()):
             raise ValueError(f"endpoint {endpoint!r} or its headers hold a control character")
         self._timeout = timeout
-        self._open: Callable[[], Connection] | None = None  # made by _set_up
-        self._set_up_lock = threading.Lock()
-        self._local = threading.local()
-        # Every connection opened, closed when the backend is collected.
-        self._connections: list[Connection] = []
-        weakref.finalize(self, _close_all, self._connections)
+        self._local = threading.local()  # this thread's connection, as conn
 
     def send(self, request: CompletionRequest) -> str:
         body = {
@@ -231,9 +219,13 @@ class HttpBackend:
             "max_tokens": request.max_tokens,
         }
         payload = json.dumps(body).encode("utf-8")
-        conn = self._connection()
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            from .httpclient import Connection
+
+            conn = self._local.conn = Connection(self.endpoint, self._host, self._target, self._headers, self._timeout)
         try:
-            status, headers, data = conn.exchange(b"%s%d%s%s" % (self._head, len(payload), self._tail, payload))
+            status, headers, data = conn.post(payload)
         except (OSError, ValueError) as exc:
             conn.close()
             raise TransportError(f"request failed: {exc}", request.fingerprint) from exc
@@ -257,69 +249,6 @@ class HttpBackend:
             raise TransportError(f"malformed response body: {exc}", request.fingerprint) from exc
         return content
 
-    def _connection(self) -> Connection:
-        """This thread's connection, made on its first request."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            with self._set_up_lock:  # two threads may open their first connections at once
-                if self._open is None:
-                    self._set_up()
-            conn = self._local.conn = self._open()
-            self._connections.append(conn)
-        return conn
-
-    def _set_up(self) -> None:
-        """Read the proxy from the environment, then make the request head
-        and the opener of each connection. A malformed proxy variable is a
-        ValueError."""
-        import http.client
-        from urllib.request import getproxies, proxy_bypass
-
-        from .httpclient import Connection, proxy_auth
-
-        url, target, headers, timeout = self._url, self._target, self._headers, self._timeout
-        address = (url.hostname, url.port)
-        tunnel = None
-        proxies = getproxies()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
-        if proxy and not proxy_bypass(url.netloc):
-            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if proxy_url.scheme != "http" or not proxy_url.hostname:
-                raise ValueError(f"proxy {proxy!r} is not an http URL")
-            proxy_headers = proxy_auth(proxy_url)
-            if url.scheme == "http":
-                target = url._replace(fragment="").geturl()
-                if _CONTROL_RE.search(target):
-                    raise ValueError(f"endpoint {self.endpoint!r} or its headers hold a control character")
-                headers = {**headers, **proxy_headers}
-            else:
-                tunnel = (*address, proxy_headers)
-            address = (proxy_url.hostname, proxy_url.port)
-        # Every request is _head, the body's length, _tail and the body, in the header order http.client used.
-        head = f"POST {target} HTTP/1.1\r\nHost: {self._host}\r\nAccept-Encoding: identity\r\nContent-Length: "
-        self._head = head.encode("latin-1")
-        self._tail = "".join(f"\r\n{name}: {value}" for name, value in headers.items()).encode("latin-1") + b"\r\n\r\n"
-        if url.scheme == "https":
-            import ssl
-
-            context = ssl.create_default_context()
-            new_opener = functools.partial(http.client.HTTPSConnection, *address, timeout=timeout, context=context)
-        else:
-            new_opener = functools.partial(http.client.HTTPConnection, *address, timeout=timeout)
-
-        def open_connection() -> Connection:
-            opener = new_opener()
-            if tunnel is not None:
-                opener.set_tunnel(*tunnel)
-            return Connection(opener, timeout)
-
-        self._open = open_connection
-
-
-def _close_all(connections: list[Connection]) -> None:
-    for conn in connections:
-        conn.close()
-
 
 def make_backend(kind: str, mock_seed: int, endpoint: str) -> Backend:
     """The backend named by ``kind``, one of BACKEND_KINDS."""
@@ -341,18 +270,20 @@ class CompletionCache:
     the in-memory map, so later lookups in the same process hit. Other
     processes see it when they next open the log.
     Threads sharing the cache claim a fingerprint before sending it, so one
-    of them sends it and the others wait for its answer.
+    of them sends it and the others wait for its answer. Without a
+    directory, the map lives in memory only and ``path`` is None.
     """
 
-    def __init__(self, directory: str | Path):
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.path = directory / "completions.jsonl"
+    def __init__(self, directory: str | Path | None):
         self._entries: dict[str, str] = {}
         self._claimed: set[str] = set()
         self._claims_changed = threading.Condition()
         self._fd: int | None = None  # the log's append descriptor, opened by the first store
         self._append_lock = threading.Lock()
+        self.path: Path | None = None if directory is None else Path(directory) / "completions.jsonl"
+        if self.path is None:
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             blob = self.path.read_bytes()
         except FileNotFoundError:
@@ -372,8 +303,12 @@ class CompletionCache:
         return self._entries.get(fingerprint)
 
     def store(self, fingerprint: str, raw_text: str) -> None:
-        line = json.dumps({"fingerprint": fingerprint, "raw_text": raw_text}, ensure_ascii=False, sort_keys=True)
-        data = (line + "\n").encode("utf-8")
+        if self.path is not None:
+            self._append({"fingerprint": fingerprint, "raw_text": raw_text})
+        self._entries[fingerprint] = raw_text
+
+    def _append(self, entry: dict) -> None:
+        data = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
         with self._append_lock:
             if self._fd is None:
                 flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -385,7 +320,6 @@ class CompletionCache:
                     if os.read(self._fd, 1) != b"\n":
                         data = b"\n" + data
             os.write(self._fd, data)
-        self._entries[fingerprint] = raw_text
 
     @contextmanager
     def claim(self, fingerprint: str) -> Iterator[None]:
@@ -413,17 +347,17 @@ def complete(
     AuthError and BadRequest propagate after one attempt; RateLimited and
     other TransportErrors are retried with exponential backoff and raise
     BackendExhausted once the attempt budget is spent. Successful responses
-    are cached before return. With a cache, one thread at a time sends a
-    fingerprint: a duplicate request waits and then hits, or, when the first
-    one failed, tries for itself. The label is normalized from the raw text
-    on a hit and on a miss alike.
+    are cached before return, without a cache in a map for this call alone.
+    One thread at a time sends a fingerprint: a duplicate request waits and
+    then hits, or, when the first one failed, tries for itself. The label is
+    normalized from the raw text on a hit and on a miss alike.
     """
     fp = request.fingerprint
-    raw = None if cache is None else cache.load(fp)
-    from_cache = raw is not None
     if cache is None:
-        raw = _send_with_retries(request, fp, backend, retry)
-    elif not from_cache:
+        cache = CompletionCache(None)
+    raw = cache.load(fp)
+    from_cache = raw is not None
+    if not from_cache:
         with cache.claim(fp):
             # looked up again: the thread that held the claim may have stored it
             raw = cache.load(fp)

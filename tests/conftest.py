@@ -155,11 +155,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.connections += 1
 
     def do_CONNECT(self) -> None:
-        """Record a tunnel request and refuse it: the server speaks no TLS."""
-        self.server.record(Received(self.command, self.path, self.path, self.headers, None))
-        self.send_response(502)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+        """Record a tunnel request and refuse it, since the server speaks no
+        TLS: with a 502, or with the scripted reply's ``raw`` bytes."""
+        reply = self.server.record(Received(self.command, self.path, self.path, self.headers, None))
+        if reply.raw is not None:
+            self.wfile.write(reply.raw)
+        else:
+            self.send_response(502)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         self.close_connection = True
 
     def do_POST(self) -> None:

@@ -158,7 +158,7 @@ class TestRefine:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
     @pytest.mark.parametrize("command", ["refine", "run", "matrix"])
     def test_concurrency_below_one_is_a_usage_error(self, tmp_path, fixture_corpus, capsys, command, value):
         argv = {
@@ -207,6 +207,28 @@ class TestRefine:
         assert len(sent) == 1
         assert len((cache / "completions.jsonl").read_text(encoding="utf-8").splitlines()) == 1
 
+    @pytest.mark.parametrize("concurrency", ["1", "4"])
+    def test_without_a_cache_dir_records_with_the_same_candidates_send_one_request(
+        self, tmp_path, monkeypatch, concurrency
+    ):
+        from textemo.llm import MockBackend
+
+        sent = []
+        send = MockBackend.send
+
+        def slow_send(self, request):
+            sent.append(request.fingerprint)
+            time.sleep(0.05)
+            return send(self, request)
+
+        monkeypatch.setattr(MockBackend, "send", slow_send)
+        infile = tmp_path / "in.json"
+        write_corpus([make_entry(f"Ses01F_01_{sex}00{n}") for n in range(3) for sex in "FM"], infile)
+        argv = ["refine", "--in", str(infile), "--out", str(tmp_path / "out.json"), "--concurrency", concurrency]
+        assert main(argv) == 0
+        assert len(sent) == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["in.json", "out.json"]
+
     def test_how_each_record_was_chosen_is_counted(self, tmp_path, monkeypatch, capsys):
         from textemo.llm import MockBackend
 
@@ -227,9 +249,11 @@ class TestRefine:
         from textemo.llm import BadRequest, MockBackend
 
         send = MockBackend.send
+        rejected = []
 
         def reject_one(self, request):
             if "rejected text" in request.prompt:
+                rejected.append(request.fingerprint)
                 raise BadRequest("request rejected (HTTP 400)", request.fingerprint)
             return send(self, request)
 
@@ -240,7 +264,8 @@ class TestRefine:
         assert main(["refine", "--in", str(infile), "--out", str(outfile), "--concurrency", "1"]) == 3
         out, err = capsys.readouterr()
         assert "refined 2/3 record(s)" in out
-        assert err.splitlines()[-1] == "unrefined after retries: ['Ses01F_01_M001']"
+        why = f"request rejected (HTTP 400) [fingerprint {rejected[0]}]"
+        assert err == f"1 record(s) left unrefined: {{'Ses01F_01_M001': '{why}'}}\n"
         refined = json.loads(outfile.read_text(encoding="utf-8"))
         assert ["ensemble" in obj for obj in refined] == [True, False, True]
 
@@ -515,6 +540,21 @@ class TestMatrix:
         urls = [received.url for received in loopback.received]
         assert urls and set(urls) == {endpoint}
 
+    def test_without_a_cache_dir_a_mock_row_answers_nothing_for_an_http_row(self, tmp_path, fixture_corpus, loopback):
+        row = {"text_source": "whispertiny"}
+        config = tmp_path / "config.json"
+        argv = ["matrix", str(fixture_corpus), "--config", str(config), "--endpoint", loopback.url(), "--concurrency", "1"]
+        config.write_text(json.dumps({"experiments": [{"name": "h", "backend": "http", **row}]}))
+        assert main(argv + ["--out-dir", str(tmp_path / "alone")]) == 0
+        alone = len(loopback.received)
+        assert alone > 0
+        rows = [{"name": "m", "backend": "mock", **row}, {"name": "h", "backend": "http", **row}]
+        config.write_text(json.dumps({"experiments": rows}))
+        assert main(argv + ["--out-dir", str(tmp_path / "mixed")]) == 0
+        assert len(loopback.received) == 2 * alone
+        summaries = [(tmp_path / run / "h.log.jsonl").read_text(encoding="utf-8").splitlines()[-1] for run in ("alone", "mixed")]
+        assert summaries[0] == summaries[1]
+
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -676,6 +716,12 @@ class TestUnreadableInput:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert errors[0].startswith(f"error: {bad}: ")
+
+    def test_whitespace_only_corpus_is_empty(self, tmp_path, capsys):
+        blank = tmp_path / "blank.json"
+        blank.write_text(" \n\t\n", encoding="utf-8")
+        assert main(["validate", str(blank)]) == 1
+        assert capsys.readouterr().err == "error: record 0: file is empty\n"
 
     @pytest.mark.parametrize("case", ["truncated-json-line", "template-preamble"])
     def test_malformed_file_is_named(self, tmp_path, fixture_corpus, capsys, case):

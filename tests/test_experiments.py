@@ -85,6 +85,17 @@ class TestRunExperiment:
         assert warm.cache_misses == 0
         assert warm.cache_hit_rate == 1.0
 
+    def test_no_target_with_a_target_class_truth_warns_and_writes_no_eval(self, tmp_path, caplog):
+        objects = [make_entry(f"Ses01F_impro01_F{i:03d}", emotion="frustrated", need_prediction="yes") for i in range(3)]
+        with caplog.at_level("WARNING"):
+            result = run_experiment(mock_spec(), build_corpus(objects), MockBackend(seed=0))
+        assert [m for m in caplog.messages if "truth" in m] == [
+            "experiment exp: truth labels exist but none in the target set"
+        ]
+        assert result.eval_report is None and len(result.predictions) == 3
+        assert "eval" not in write_run_artifacts(result, tmp_path)
+        assert not (tmp_path / "exp.eval.json").exists()
+
     def test_missing_text_source_warns_once_per_run(self, caplog):
         objects = [
             make_entry(f"Ses01F_impro01_F{i:03d}", need_prediction="yes", models={"hubertlarge": f"line {i}"})

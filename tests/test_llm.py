@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import random
+import re
 import signal
 import socket
 import sys
@@ -95,6 +96,12 @@ class TestFingerprint:
         assert len(fp) == 64
         assert all(c in "0123456789abcdef" for c in fp)
 
+    def test_a_field_cannot_be_set(self):
+        request = fixture_request()
+        with pytest.raises(AttributeError, match="CompletionRequest is read-only: cannot set 'prompt'"):
+            request.prompt = "changed"
+        assert request.prompt == "hello" and request.fingerprint == PINNED_FINGERPRINT
+
 
 class TestNormalizeLabel:
     @pytest.mark.parametrize(
@@ -160,6 +167,15 @@ class TestCache:
 
     def test_miss_returns_none(self, tmp_path):
         assert CompletionCache(tmp_path).load("00" * 32) is None
+
+    def test_without_a_directory_the_map_is_in_memory_only(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = CompletionCache(None)
+        request = fixture_request()
+        backend = FlakyBackend(failures=0)
+        first, second = (complete(request, backend, cache=cache) for _ in range(2))
+        assert (first.from_cache, second.from_cache, backend.calls) == (False, True, 1)
+        assert cache.path is None and list(tmp_path.iterdir()) == []
 
     def test_complete_uses_cache(self, tmp_path):
         cache = CompletionCache(tmp_path)
@@ -670,6 +686,107 @@ class TestHttpBackend:
         assert HttpBackend(endpoint=loopback.url(), api_key="k").send(fixture_request()) == "sad"
         (received,) = loopback.received
         assert received.target == "/v1/chat"
+
+    def test_control_character_in_the_url_sent_to_a_proxy_is_an_error(self, loopback, monkeypatch):
+        from textemo.llm import HttpBackend
+
+        monkeypatch.setenv("HTTP_PROXY", loopback.url(""))
+        endpoint = "http://us\x01er@api.example.invalid/v1/chat"  # the host and the path are clean
+        backend = HttpBackend(endpoint=endpoint, api_key="k")
+        with pytest.raises(ValueError, match=re.escape(f"endpoint {endpoint!r} or its headers hold a control character")):
+            backend.send(fixture_request())
+        assert loopback.received == []
+
+    def test_a_malformed_reply_to_connect_is_a_transport_error(self, loopback, monkeypatch):
+        import http.client
+
+        from textemo.llm import HttpBackend
+
+        monkeypatch.setenv("HTTPS_PROXY", loopback.url(""))
+        loopback.script(Reply(raw=b"not http\r\n\r\n"))
+        backend = HttpBackend(endpoint="https://api.example.invalid/v1/chat", api_key="k")
+        with pytest.raises(TransportError, match="request failed: not http") as excinfo:
+            backend.send(fixture_request())
+        assert isinstance(excinfo.value.__cause__.__cause__, http.client.HTTPException)
+        (received,) = loopback.received
+        assert received.method == "CONNECT"
+
+    def test_backends_share_one_tls_context(self, loopback, monkeypatch):
+        import ssl
+
+        from textemo import httpclient
+        from textemo.llm import HttpBackend
+
+        built = []
+        create_default_context = ssl.create_default_context
+
+        def counted(*args, **kwargs):
+            built.append(create_default_context(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ssl, "create_default_context", counted)
+        httpclient._tls_context.cache_clear()
+        monkeypatch.setenv("HTTPS_PROXY", loopback.url(""))
+        for _ in range(3):
+            backend = HttpBackend(endpoint="https://api.example.invalid/v1/chat", api_key="k")
+            with pytest.raises(TransportError, match="request failed"):
+                backend.send(fixture_request())  # the loopback server refuses the tunnel
+        assert len(loopback.received) == 3
+        assert len(built) == 1
+
+    def test_a_finished_fan_out_closes_its_connections(self, loopback, monkeypatch):
+        from textemo.llm import HttpBackend
+
+        opened = []
+        create_connection = socket.create_connection
+
+        def recorded(*args, **kwargs):
+            opened.append(create_connection(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recorded)
+        loopback.script(default=Reply(delay=0.002))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        for batch in range(2):
+            requests = [fixture_request(f"{batch}-{n}") for n in range(8)]
+            assert fan_out(backend.send, requests, concurrency=2) == ["sad"] * 8
+        assert 2 <= len(opened) <= 4  # one per worker thread of each fan-out
+        assert [sock.fileno() for sock in opened] == [-1] * len(opened)
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_a_kept_connection_that_fails_to_send_is_reopened_without_an_attempt(
+        self, loopback, monkeypatch, caplog, error
+    ):
+        from textemo import httpclient
+        from textemo.llm import HttpBackend
+
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        assert backend.send(fixture_request("first")) == "sad"
+        sendall = httpclient._Socket.sendall
+        errors = [error("the server reset the idle connection")]
+
+        def fail_once(sock, data):
+            if errors:
+                raise errors.pop()
+            sendall(sock, data)
+
+        monkeypatch.setattr(httpclient._Socket, "sendall", fail_once)
+        sleeps: list[float] = []
+        with caplog.at_level("WARNING"):
+            completion = complete(fixture_request("second"), backend, retry=RetryPolicy(sleep=sleeps.append))
+        assert completion.raw_text == "sad"
+        assert (len(loopback.received), loopback.connections) == (2, 2)
+        assert sleeps == [] and not caplog.messages
+
+    def test_a_new_connection_closed_without_a_reply_is_a_transport_error(self, loopback):
+        from textemo.llm import HttpBackend
+
+        loopback.script(Reply(raw=b"", close=True))
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        with pytest.raises(TransportError, match="server closed the connection without a reply"):
+            backend.send(fixture_request())
+        assert backend.send(fixture_request()) == "sad"  # on a new connection
+        assert (len(loopback.received), loopback.connections) == (2, 2)
 
     def test_request_head_is_the_one_http_client_sent(self, loopback):
         from textemo.llm import HttpBackend
