@@ -10,6 +10,9 @@ only the stages it runs. The backend option values below are the exception:
 every CLI process builds the whole parser, which names them, so they live
 here rather than in ``textemo.llm``, and a command that sends no request
 does not load the backend module.
+
+The stages log through ``log`` below, which imports ``logging`` with the
+first record, so a process that prints no warning never loads it.
 """
 
 __version__ = "0.1.0"
@@ -20,3 +23,24 @@ BACKEND_MOCK = "mock"  # the default
 BACKEND_KINDS = (BACKEND_HTTP, BACKEND_MOCK)
 DEFAULT_MODEL = "gpt-3.5-turbo"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
+
+# The logging.basicConfig keywords that configure_logging recorded, applied
+# by the next record; None once applied.
+_log_config: dict | None = None
+
+
+def configure_logging(**config: object) -> None:
+    """Record ``logging.basicConfig`` keywords; ``log`` applies them before its next record."""
+    global _log_config
+    _log_config = config
+
+
+def log(name: str, level: str, msg: str, *args: object) -> None:
+    """Emit ``msg % args`` on logger ``name`` at ``level`` ("warning" or "error")."""
+    global _log_config
+    import logging
+
+    if _log_config is not None:
+        logging.basicConfig(**_log_config)
+        _log_config = None
+    getattr(logging.getLogger(name), level)(msg, *args, stacklevel=2)  # the record names log's caller

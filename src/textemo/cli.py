@@ -14,7 +14,6 @@ codes.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from collections import Counter
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING
 # them, in their own bodies, so a process loads only what its subcommand
 # runs: a matrix pass starts one `evaluate` process per row, and start-up is
 # most of each one's time.
-from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL
+from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL, configure_logging
 from . import corpus as corpus_mod
 from . import metrics
 
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    configure_logging(level="INFO", format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
     except _auth_error() as exc:

@@ -44,9 +44,11 @@ def resolve_text(record: UtteranceRecord, text_source: str) -> str:
     non-blank transcription when the source is missing or blank; "" when the
     record has no non-blank text."""
     text = source_text(record, text_source)
-    if text is None:
-        text = max((t for t in record.transcriptions.values() if not is_blank(t)), key=len, default="")
-    return text
+    return _longest_transcription(record) if text is None else text
+
+
+def _longest_transcription(record: UtteranceRecord) -> str:
+    return max((t for t in record.transcriptions.values() if not is_blank(t)), key=len, default="")
 
 
 def check_text_source(corpus: Corpus, text_source: str) -> None:
@@ -78,18 +80,64 @@ def build_context(
         raise InvalidTarget(f"position {target} outside corpus of {len(corpus.records)} records")
     check_text_source(corpus, text_source)
 
-    uid = corpus.records[target].id
-    group = corpus.scripts[uid.script_key] if mode == MODE_SCRIPT else corpus.sessions[uid.session_key]
-    place = bisect_left(group, target)
-    window = [corpus.records[pos] for pos in group[max(0, place - length) : place]]
-
-    truncated = len(window) < length and target > len(window)
-    items = [(rec.speaker, resolve_text(rec, text_source)) for rec in window]
+    positions = _window(corpus, target, mode, length)
+    truncated = len(positions) < length and target > len(positions)
+    items = [(corpus.records[pos].speaker, resolve_text(corpus.records[pos], text_source)) for pos in positions]
     return ContextWindow(items=items, truncated_by_boundary=truncated)
 
 
 def format_context(window: ContextWindow) -> str:
     """Render a window for the {context} prompt slot."""
-    if not window.items:
-        return EMPTY_CONTEXT
-    return " ".join(f"Speaker {speaker} says: {text.strip()}" for speaker, text in window.items)
+    return _joined([_line(speaker, text) for speaker, text in window.items])
+
+
+class ContextTable:
+    """A run's per-record work, done in one pass over the corpus: each
+    record's resolve_text under one text source and its context line, the
+    count of records that lack the source's text, and the file positions of
+    the records flagged need_prediction, the run's targets.
+
+    ``context(target, mode, length)`` equals
+    ``format_context(build_context(corpus, target, mode, length, text_source))``
+    for a mode in CONTEXT_MODES and a length of at least 1, by joining the
+    window's lines made here.
+    """
+
+    __slots__ = ("corpus", "texts", "lines", "missing", "targets")
+
+    def __init__(self, corpus: Corpus, text_source: str):
+        check_text_source(corpus, text_source)
+        self.corpus = corpus
+        self.texts: list[str] = []
+        self.lines: list[str] = []
+        self.missing = 0
+        self.targets: list[int] = []
+        for record in corpus.records:
+            text = source_text(record, text_source)
+            if text is None:
+                self.missing += 1
+                text = _longest_transcription(record)
+            self.texts.append(text)
+            self.lines.append(_line(record.speaker, text))
+            if record.need_prediction:
+                self.targets.append(record.file_position)
+
+    def context(self, target: int, mode: str, length: int) -> str:
+        lines = self.lines
+        return _joined([lines[pos] for pos in _window(self.corpus, target, mode, length)])
+
+
+def _window(corpus: Corpus, target: int, mode: str, length: int) -> list[int]:
+    """File positions of the last `length` members of the target's group before it, oldest first."""
+    uid = corpus.records[target].id
+    group = corpus.scripts[uid.script_key] if mode == MODE_SCRIPT else corpus.sessions[uid.session_key]
+    place = bisect_left(group, target)
+    return group[max(0, place - length) : place]
+
+
+def _line(speaker: str, text: str) -> str:
+    return f"Speaker {speaker} says: {text.strip()}"
+
+
+def _joined(lines: list[str]) -> str:
+    return " ".join(lines) if lines else EMPTY_CONTEXT

@@ -24,13 +24,12 @@ which is the unit used for context windowing.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-logger = logging.getLogger(__name__)
+from . import log
 
 # The ASR systems whose outputs appear in the curated corpus.
 KNOWN_ASR_MODELS = frozenset(
@@ -315,11 +314,19 @@ def index_records(records: list[UtteranceRecord]) -> Corpus:
         model_names.update(rec.transcriptions)
     split = [key for key, positions in scripts.items() if positions[-1] - positions[0] + 1 != len(positions)]
     if split:
-        logger.warning("records of %d script(s) are non-contiguous in file order, first %s", len(split), split[0])
+        log(
+            __name__,
+            "warning",
+            "records of %d script(s) are non-contiguous in file order, first %s",
+            len(split),
+            split[0],
+        )
     unknown = model_names - KNOWN_ASR_MODELS
     if unknown:
         carrying = sum(not KNOWN_ASR_MODELS.issuperset(rec.transcriptions) for rec in records)
-        logger.warning(
+        log(
+            __name__,
+            "warning",
             "unknown ASR model(s) %s kept as transcriptions in %d of %d records",
             ", ".join(sorted(unknown)),
             carrying,
@@ -329,9 +336,11 @@ def index_records(records: list[UtteranceRecord]) -> Corpus:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; bytes that do not decode are a ValueError led by the path."""
+    """A UTF-8 file's text, without the byte-order mark it may start with (RFC 8259
+    section 8.1 lets a JSON parser ignore one); bytes that do not decode are a
+    ValueError led by the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

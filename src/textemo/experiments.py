@@ -13,14 +13,14 @@ AuthError aborts the run.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL
-from .context import build_context, check_text_source, format_context, resolve_text, source_text
+from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL, log
+from .context import ContextTable
 from .corpus import CONTEXT_MODES, MODE_SESSION, Corpus, UtteranceRecord, read_json, write_json
 from .llm import (
     DEFAULT_RETRY,
@@ -36,10 +36,15 @@ from .llm import (
 from .metrics import EVAL_LABELS, UA_MACRO_RECALL, EmptyInput, EvalReport, evaluate
 from .prompts import PromptTemplate, load_templates, render
 
-logger = logging.getLogger(__name__)
-
 FALLBACK_LABEL = "neutral"
 DEFAULT_MATRIX_RESOURCE = "experiment_matrix.json"
+
+# A run log's prediction line, as json.dumps({"event": "prediction", **event._asdict()}, sort_keys=True)
+# spells it: the fields in key order, strings ASCII-escaped by the same encoder.
+_PREDICTION_LINE = (
+    '{"event": "prediction", "fallback": %s, "fingerprint": %s, "from_cache": %s, "id": %s, "prediction": %s}\n'
+)
+_JSON_BOOLS = ("false", "true")
 
 
 class _SpecFields(NamedTuple):
@@ -171,24 +176,24 @@ def run_experiment(
         templates = load_templates()
     if spec.prompt not in templates:
         raise ValueError(f"experiment {spec.name!r}: unknown template {spec.prompt!r}")
-    check_text_source(corpus, spec.text_source)
     template = templates[spec.prompt]
-    missing = sum(source_text(rec, spec.text_source) is None for rec in corpus.records)
-    if missing:
-        logger.warning(
+    table = ContextTable(corpus, spec.text_source)
+    if table.missing:
+        log(
+            __name__,
+            "warning",
             "experiment %s: %d of %d records have no %r text, falling back to their longest transcription",
             spec.name,
-            missing,
+            table.missing,
             len(corpus.records),
             spec.text_source,
         )
 
     targets: list[tuple[UtteranceRecord, str]] = []
     failures: list[dict] = []
-    for record in corpus.records:
-        if not record.need_prediction:
-            continue
-        if sentence := resolve_text(record, spec.text_source):
+    for position in table.targets:
+        record = corpus.records[position]
+        if sentence := table.texts[position]:
             targets.append((record, sentence))
         else:
             error = f"no non-blank {spec.text_source!r} text or transcription to predict from"
@@ -196,8 +201,8 @@ def run_experiment(
 
     def predict(target: tuple[UtteranceRecord, str]) -> PredictionEvent:
         record, sentence = target
-        window = build_context(corpus, record.file_position, spec.context_mode, spec.context_length, spec.text_source)
-        prompt_text = render(template, format_context(window), record.speaker, sentence)
+        context = table.context(record.file_position, spec.context_mode, spec.context_length)
+        prompt_text = render(template, context, record.speaker, sentence)
         request = CompletionRequest(model=spec.model, prompt=prompt_text, temperature=0.0, max_tokens=16)
         completion = complete(request, backend, cache=cache, retry=retry)
         label = completion.normalized_label
@@ -224,7 +229,7 @@ def run_experiment(
         try:
             eval_report = evaluate(truth_pairs, ua_definition=ua_definition)
         except EmptyInput:
-            logger.warning("experiment %s: truth labels exist but none in the target set", spec.name)
+            log(__name__, "warning", "experiment %s: truth labels exist but none in the target set", spec.name)
 
     return RunResult(
         spec=spec,
@@ -253,8 +258,17 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Pat
 
     log_path = out / f"{name}.log.jsonl"
     with open(log_path, "w", encoding="utf-8") as fh:
-        for event in result.predictions:
-            fh.write(json.dumps({"event": "prediction", **event._asdict()}, sort_keys=True) + "\n")
+        for e in result.predictions:
+            fh.write(
+                _PREDICTION_LINE
+                % (
+                    _JSON_BOOLS[e.fallback],
+                    encode_basestring_ascii(e.fingerprint),
+                    _JSON_BOOLS[e.from_cache],
+                    encode_basestring_ascii(e.id),
+                    encode_basestring_ascii(e.prediction),
+                )
+            )
         fh.write(
             json.dumps(
                 {
@@ -324,7 +338,7 @@ def run_matrix(
                 row["n_failures"] = len(result.failures)
             rows.append(row)
         except (ValueError, BackendError) as exc:  # a bad row must not sink the matrix
-            logger.error("experiment %s failed: %s", spec.name, exc)
+            log(__name__, "error", "experiment %s failed: %s", spec.name, exc)
             rows.append({"name": spec.name, "error": str(exc)})
     return rows
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import random
 import re
@@ -28,14 +27,14 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-from . import BACKEND_MOCK, DEFAULT_ENDPOINT
+from . import BACKEND_MOCK, DEFAULT_ENDPOINT, log
 from .metrics import EVAL_LABELS
-
-logger = logging.getLogger(__name__)
 
 # The order MockBackend indexes by hash: changing it changes every mock prediction.
 MOCK_LABEL_ORDER = ("happy", "sad", "neutral", "angry")
@@ -47,6 +46,11 @@ _PUNCT_RE = re.compile(r"[^a-z0-9']+")
 # The delta-seconds form of Retry-After (RFC 9110 section 10.2.3); the HTTP-date form is not honoured.
 _DIGITS_RE = re.compile(r"[0-9]+")
 _CONTROL_RE = re.compile(r"[\x00-\x20\x7f]")
+
+# The canonical spelling that fingerprints hash: sorted keys, no spaces, ASCII only.
+_FINGERPRINT_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+# A cache line's spelling; the log is UTF-8, so text is not escaped to ASCII.
+_CACHE_LINE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -95,8 +99,10 @@ class CompletionRequest:
         fields = {"model": model, "prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        payload = json.dumps(fields, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-        object.__setattr__(self, "_fingerprint", hashlib.sha256(payload.encode("utf-8")).hexdigest())
+        # the canonical JSON of the four fields, with the prompt spelled in its place
+        head, tail = _fingerprint_frame(model, temperature, max_tokens)
+        payload = head + encode_basestring_ascii(prompt) + tail
+        object.__setattr__(self, "_fingerprint", hashlib.sha256(payload.encode("ascii")).hexdigest())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"CompletionRequest is read-only: cannot set {name!r}")
@@ -104,6 +110,14 @@ class CompletionRequest:
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: a float and an int temperature spell differently
+def _fingerprint_frame(model: str, temperature: float, max_tokens: int) -> tuple[str, str]:
+    """What a fingerprint payload holds before and after its prompt's JSON string."""
+    fields = {"model": model, "prompt": "", "temperature": temperature, "max_tokens": max_tokens}
+    head, tail = _FINGERPRINT_ENCODER.encode(fields).split('"prompt":""')
+    return head + '"prompt":', tail
 
 
 class Completion(NamedTuple):
@@ -296,7 +310,7 @@ class CompletionCache:
                     raise TypeError(f"raw_text is {type(raw_text).__name__}, not str")
                 self._entries[data["fingerprint"]] = raw_text
             except (ValueError, KeyError, TypeError) as exc:
-                logger.warning("corrupt cache line %s:%d skipped: %r", self.path, lineno, exc)
+                log(__name__, "warning", "corrupt cache line %s:%d skipped: %r", self.path, lineno, exc)
 
     def load(self, fingerprint: str) -> str | None:
         """The cached raw text, or None on a miss."""
@@ -308,7 +322,7 @@ class CompletionCache:
         self._entries[fingerprint] = raw_text
 
     def _append(self, entry: dict) -> None:
-        data = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        data = (_CACHE_LINE_ENCODER.encode(entry) + "\n").encode("utf-8")
         with self._append_lock:
             if self._fd is None:
                 flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
@@ -377,7 +391,7 @@ def _send_with_retries(request: CompletionRequest, fp: str, backend: Backend, re
             raise
         except (RateLimited, TransportError) as exc:
             last_error = exc
-            logger.warning("attempt %d/%d failed: %s", attempt, retry.attempts, exc)
+            log(__name__, "warning", "attempt %d/%d failed: %s", attempt, retry.attempts, exc)
             if attempt < retry.attempts:
                 retry.sleep(retry.delay(attempt, exc.retry_after if isinstance(exc, RateLimited) else None))
             continue

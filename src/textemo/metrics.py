@@ -8,10 +8,9 @@ excluded from scoring but counted.
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple
 
-logger = logging.getLogger(__name__)
+from . import log
 
 EVAL_LABELS = ("neutral", "sad", "happy", "angry")
 
@@ -87,11 +86,11 @@ def evaluate(
         recall = tp / truth_total if truth_total else None
         precision = tp / pred_total if pred_total else 0.0
         if recall is None:
-            logger.warning("class %r absent from truth; excluded from UA average", label)
+            log(__name__, "warning", "class %r absent from truth; excluded from UA average", label)
         else:
             recalls.append(recall)
         if precision + (recall or 0.0) == 0.0:
-            logger.warning("class %r: precision + recall is zero, F1 set to 0", label)
+            log(__name__, "warning", "class %r: precision + recall is zero, F1 set to 0", label)
             per_class_f1[label] = 0.0
         else:
             r = recall or 0.0

@@ -10,6 +10,7 @@ substitution. A doubled brace renders as a literal brace.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -20,7 +21,18 @@ SLOT_CONTEXT = "{context}"
 SLOT_SPEAKER = "{current speaker}"
 SLOT_SENTENCE = "{current sentence}"
 
-_TOKEN_RE = re.compile(r"\{\{|\}\}|\{context\}|\{current speaker\}|\{current sentence\}")
+# A body's tokens, and a lone brace last: a brace that starts no token is literal text.
+_TOKEN_RE = re.compile(r"\{\{|\}\}|\{context\}|\{current speaker\}|\{current sentence\}|[{}]")
+# Each token as it is spelled in the str.format pattern of a body (see _format_pattern).
+_PATTERN_TOKENS = {
+    "{{": "{{",
+    "}}": "}}",
+    "{": "{{",
+    "}": "}}",
+    SLOT_CONTEXT: "{0}",
+    SLOT_SPEAKER: "{1}",
+    SLOT_SENTENCE: "{2}",
+}
 _SEPARATOR_RE = re.compile(r"^---\s+(\S+)\s*$")
 
 DEFAULT_TEMPLATE_RESOURCE = "templates.txt"
@@ -47,14 +59,14 @@ def render(template: PromptTemplate, context: str, speaker: str, sentence: str) 
     """
     if not sentence:
         raise EmptySentence(f"template {template.name!r} rendered with an empty sentence")
-    values = {
-        "{{": "{",
-        "}}": "}",
-        SLOT_CONTEXT: context,
-        SLOT_SPEAKER: speaker,
-        SLOT_SENTENCE: sentence,
-    }
-    return _TOKEN_RE.sub(lambda m: values[m.group(0)], template.body)
+    return _format_pattern(template.body).format(context, speaker, sentence)
+
+
+@lru_cache(maxsize=64)
+def _format_pattern(body: str) -> str:
+    """The body as a str.format pattern, split once per body: the three
+    slots become fields 0, 1 and 2, and every literal brace is doubled."""
+    return _TOKEN_RE.sub(lambda m: _PATTERN_TOKENS[m.group(0)], body)
 
 
 def parse_template_file(text: str) -> dict[str, PromptTemplate]:

@@ -80,10 +80,17 @@ def filter_transcriptions(record: UtteranceRecord, cfg: RefinementConfig) -> lis
 
     Order is model_priority first, then record insertion order.
     """
-    priority = {name: pos for pos, name in enumerate(cfg.model_priority)}
-    ordered = sorted(_nonblank(record), key=lambda mt: priority.get(mt[0], len(priority)))
+    return _filter(record, cfg)[0]
+
+
+def _filter(record: UtteranceRecord, cfg: RefinementConfig) -> tuple[list[tuple[str, str]], bool]:
+    """filter_transcriptions' candidates, and whether none passed the length filter."""
+    ordered = _nonblank(record)
+    if cfg.model_priority:
+        priority = {name: pos for pos, name in enumerate(cfg.model_priority)}
+        ordered.sort(key=lambda mt: priority.get(mt[0], len(priority)))
     kept = [(m, t) for m, t in ordered if _length(t, cfg.length_unit) > cfg.min_length]
-    return kept if kept else ordered
+    return (kept, False) if kept else (ordered, True)
 
 
 def select_longest(candidates: list[tuple[str, str]], cfg: RefinementConfig) -> tuple[str, str]:
@@ -121,12 +128,10 @@ def refine_record(
     candidate. BackendError propagates once retries are exhausted and the
     record is left unrefined.
     """
-    candidates = filter_transcriptions(record, cfg)
-    all_short = all(_length(t, cfg.length_unit) <= cfg.min_length for _, t in _nonblank(record))
-    fallback_source = SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
+    candidates, all_short = _filter(record, cfg)
 
     chosen: tuple[str, str] | None = None
-    source = fallback_source
+    source = SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
 
     if cfg.selector == "llm":
         if backend is None:

@@ -693,6 +693,30 @@ class TestGenFixture:
         assert capsys.readouterr().out.splitlines() == [f"wrote 0 record(s) to {path}", "ok: 0 record(s)"]
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is not part of its text."""
+
+    @pytest.mark.parametrize("layout", ["array", "lines"])
+    def test_corpus_validates(self, tmp_path, capsys, layout):
+        objects = generate_corpus(seed=21, n_records=25)
+        text = json.dumps(objects) if layout == "array" else "".join(json.dumps(obj) + "\n" for obj in objects)
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == "ok: 25 record(s)\n"
+
+    def test_predictions_evaluate(self, tmp_path, fixture_corpus):
+        assert main(["run", str(fixture_corpus), "--name", "demo", "--text-source", "whispertiny",
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+        predictions = tmp_path / "runs" / "demo.predictions.json"
+        bom = tmp_path / "bom.predictions.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + predictions.read_bytes())
+        for path, out in ((predictions, "plain.json"), (bom, "bom.json")):
+            argv = ["evaluate", "--predictions", path, "--corpus", fixture_corpus, "--eval-out", tmp_path / out]
+            assert main([str(arg) for arg in argv]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "content", [b'[{"id": "Ses01F_impro01_F000",', b"\xff\xfe[]"], ids=["truncated-array", "not-utf8"]

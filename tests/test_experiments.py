@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from textemo.context import build_context, format_context, resolve_text
 from textemo.corpus import build_corpus
 from textemo.experiments import (
     ExperimentSpec,
+    PredictionEvent,
+    RunResult,
     format_matrix_table,
     load_experiment_config,
     run_experiment,
@@ -14,7 +18,8 @@ from textemo.experiments import (
     write_run_artifacts,
 )
 from textemo.fixtures import generate_corpus
-from textemo.llm import CompletionCache, MockBackend, RetryPolicy, TransportError
+from textemo.llm import CompletionCache, CompletionRequest, MockBackend, RetryPolicy, TransportError
+from textemo.prompts import load_templates, render
 
 from conftest import make_entry
 
@@ -186,7 +191,71 @@ class TestBlankText:
         assert any(f"1 of 4 records have no {source!r} text" in m for m in caplog.messages)
 
 
+class TestPerRunTable:
+    """A run resolves and formats each record once; every target must still get
+    the prompt that build_context, format_context and render give it."""
+
+    @staticmethod
+    def _corpus():
+        # blank, whitespace-only, padded and missing texts under both sources,
+        # and records with no non-blank text at all
+        rng = random.Random(3)
+        objects = generate_corpus(seed=3, n_records=90)
+        for obj in objects:
+            roll = rng.randrange(6)
+            if roll == 0:
+                del obj["whispertiny"]
+            elif roll == 1:
+                obj["whispertiny"] = ""
+            elif roll == 2:
+                obj["whispertiny"] = " \t "
+            elif roll == 3:
+                obj["whispertiny"] = f"  {obj['whispertiny']}  "
+            elif roll == 4 and rng.random() < 0.3:
+                for key in obj:
+                    if key not in ("id", "speaker", "emotion", "need_prediction", "Ground truth"):
+                        obj[key] = rng.choice(["", "  "])
+            ensemble = rng.choice([None, "", "   ", f" {obj['Ground truth']}\n", obj["Ground truth"]])
+            if ensemble is not None:
+                obj["ensemble"] = ensemble
+        return build_corpus(objects)
+
+    @pytest.mark.parametrize("text_source", ["whispertiny", "ensemble"])
+    @pytest.mark.parametrize("mode", ["session", "script"])
+    def test_every_fingerprint_is_the_oracle_prompts(self, text_source, mode):
+        corpus = self._corpus()
+        templates = load_templates()
+        by_id = {rec.id.raw: rec for rec in corpus.records}
+        for length in (1, 3, 10, 15):
+            for name, template in templates.items():
+                spec = mock_spec(text_source=text_source, prompt=name, context_length=length, context_mode=mode)
+                result = run_experiment(spec, corpus, MockBackend(seed=0), templates=templates, concurrency=1)
+                expected_ids, failed_ids = [], []
+                for rec in corpus.records:
+                    if rec.need_prediction:
+                        (expected_ids if resolve_text(rec, text_source) else failed_ids).append(rec.id.raw)
+                assert [e.id for e in result.predictions] == expected_ids
+                assert [f["id"] for f in result.failures] == failed_ids
+                assert failed_ids, "the corpus must hold targets without text"
+                for event in result.predictions:
+                    rec = by_id[event.id]
+                    window = build_context(corpus, rec.file_position, mode, length, text_source)
+                    prompt = render(template, format_context(window), rec.speaker, resolve_text(rec, text_source))
+                    assert event.fingerprint == CompletionRequest(model=spec.model, prompt=prompt).fingerprint
+
+
 class TestArtifacts:
+    def test_prediction_lines_are_the_canonical_json_of_their_events(self, tmp_path):
+        events = [
+            PredictionEvent(id=id_, fingerprint="ab" * 32, prediction=prediction, from_cache=hit, fallback=fallback)
+            for id_, prediction in (("Ses01F_impro01_F000", "sad"), ("Sés01_é_\u2028\"\\x", "neutral"))
+            for hit in (False, True)
+            for fallback in (False, True)
+        ]
+        result = RunResult(spec=mock_spec(name="pinned"), predictions=events, failures=[], eval_report=None)
+        lines = write_run_artifacts(result, tmp_path)["log"].read_bytes().decode("utf-8").splitlines()
+        assert lines[:-1] == [json.dumps({"event": "prediction", **e._asdict()}, sort_keys=True) for e in events]
+
     def test_files_written(self, small_corpus, tmp_path):
         result = run_experiment(mock_spec(name="demo"), small_corpus, MockBackend(seed=0))
         paths = write_run_artifacts(result, tmp_path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import os
 import random
@@ -101,6 +102,21 @@ class TestFingerprint:
         with pytest.raises(AttributeError, match="CompletionRequest is read-only: cannot set 'prompt'"):
             request.prompt = "changed"
         assert request.prompt == "hello" and request.fingerprint == PINNED_FINGERPRINT
+
+    @pytest.mark.parametrize(
+        "prompt",
+        ["hello", "", "émotion 情绪", 'say "hi"', "back\\slash", "tab\tnl\ncr\r\x00\x1f\x7f", "line\u2028sep", "lone \ud800"],
+        ids=["ascii", "empty", "non-ascii", "quote", "backslash", "controls", "u2028", "lone-surrogate"],
+    )
+    @pytest.mark.parametrize("temperature", [0.0, 0, 0.7, 1])
+    @pytest.mark.parametrize("model, max_tokens", [("gpt-3.5-turbo", 16), ('m"odèl\\', 128)])
+    def test_is_the_sha256_of_the_canonical_json(self, prompt, temperature, model, max_tokens):
+        """The cache and the run log are keyed by these bytes, so they may never drift; an
+        int and a float temperature, equal as numbers, are spelled apart."""
+        fields = {"model": model, "prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
+        payload = json.dumps(fields, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+        request = CompletionRequest(model=model, prompt=prompt, temperature=temperature, max_tokens=max_tokens)
+        assert request.fingerprint == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestNormalizeLabel:
@@ -266,6 +282,13 @@ class TestCache:
             {"fingerprint": "aa" * 32, "raw_text": "x"},
             {"fingerprint": "bb" * 32, "raw_text": "x"},
         ]
+
+    @pytest.mark.parametrize("raw_text", ["sad", "émotion 情绪", 'a "quote" and \\', "nl\n\x00\u2028"])
+    def test_a_line_is_the_canonical_json_of_its_entry(self, tmp_path, raw_text):
+        CompletionCache(tmp_path).store("aa" * 32, raw_text)
+        entry = {"fingerprint": "aa" * 32, "raw_text": raw_text}
+        expected = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
+        assert (tmp_path / "completions.jsonl").read_bytes() == expected.encode("utf-8")
 
     def test_log_is_opened_once_on_the_first_store(self, tmp_path, monkeypatch):
         opened = []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,18 @@ class TestRender:
     def test_escaped_braces(self):
         template = PromptTemplate(name="t", body="literal {{json}} and {current sentence}")
         assert render(template, "", "", "x") == "literal {json} and x"
+
+    def test_equals_a_token_by_token_substitution(self):
+        """render turns each body into a str.format pattern once; the reference
+        substitutes its tokens left to right, a lone brace staying literal."""
+        token_re = re.compile(r"\{\{|\}\}|\{context\}|\{current speaker\}|\{current sentence\}")
+        values = {"{{": "{", "}}": "}", "{context}": "c{0}", "{current speaker}": "s}", "{current sentence}": "{x}%s"}
+        fragments = ["{", "}", "{{", "}}", "{context}", "{current speaker}", "{current sentence}", "{0}", "%s", "a"]
+        rng = random.Random(0)
+        for _ in range(3000):
+            body = "".join(rng.choice(fragments) for _ in range(rng.randint(1, 8)))
+            expected = token_re.sub(lambda m: values[m.group(0)], body)
+            assert render(PromptTemplate(name="t", body=body), "c{0}", "s}", "{x}%s") == expected, body
 
 
 class TestTemplateFile:

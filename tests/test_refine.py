@@ -14,7 +14,8 @@ from textemo.refine import (
     refine_record,
     select_longest,
 )
-from textemo.corpus import record_from_object
+from textemo.corpus import build_corpus, is_blank, record_from_object
+from textemo.fixtures import generate_corpus
 
 WHISPER_MODELS = {"whisperbase", "whisperlarge", "whispermedium", "whispersmall", "whispertiny"}
 
@@ -173,6 +174,26 @@ class TestRefineRecord:
         record = make_record({"whispertiny": "", "w2v2100": "   "})
         assert filter_transcriptions(record, RefinementConfig()) == [("whispertiny", ""), ("w2v2100", "   ")]
         assert refine_record(record, RefinementConfig(selector="longest_only")).chosen == "   "
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RefinementConfig(selector="longest_only"),
+            RefinementConfig(selector="longest_only", min_length=3, length_unit="tokens", model_priority=["w2v2100"]),
+        ],
+        ids=["chars", "tokens-with-priority"],
+    )
+    def test_all_short_means_no_non_blank_candidate_is_long(self, cfg):
+        """The reference checks every non-blank candidate (every candidate when all are blank)."""
+        objects = generate_corpus(seed=8, n_records=300, short_rate=0.9)
+        for obj in objects[::7]:
+            obj["whispertiny"] = " " * 40
+        for record in build_corpus(objects).records:
+            texts = [t for t in record.transcriptions.values() if not is_blank(t)] or record.transcriptions.values()
+            size = len if cfg.length_unit == "characters" else lambda t: len(t.split())
+            all_short = all(size(t) <= cfg.min_length for t in texts)
+            expected = SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
+            assert refine_record(record, cfg).chosen_source == expected
 
     def test_chosen_always_a_candidate(self, sample_record):
         # provenance: the selector may not invent text, whatever the response

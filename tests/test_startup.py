@@ -1,13 +1,16 @@
 """What a fresh process imports: the package loads no stage module; the CLI
 loads a stage module or the backend layer `textemo.llm` only when a command
 runs it, and the HTTP client (`textemo.httpclient`, `http.client`, `ssl`,
-`urllib.request`) only when a request goes out; no command loads
-`dataclasses`; and an HTTP run works with `requests` unimportable."""
+`urllib.request`) only when a request goes out; `logging` only when a line
+is logged; no command loads `dataclasses`; and an HTTP run works with
+`requests` unimportable."""
 
 from __future__ import annotations
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +32,7 @@ DEFERRED = (
     "textemo.refine",
     "textemo.fixtures",
     "dataclasses",
+    "logging",
 )
 
 PROBE = """
@@ -45,7 +49,7 @@ print(json.dumps({"stages_on_package_import": stages, "http_client_on_import": b
 
 def test_evaluate_process_loads_no_unused_stage(tmp_path):
     corpus = tmp_path / "corpus.json"
-    write_corpus(generate_corpus(seed=21, n_records=25), corpus)
+    write_corpus(generate_corpus(seed=21, n_records=100), corpus)
     out_dir = tmp_path / "runs"
     assert main(["run", str(corpus), "--name", "demo", "--text-source", "whispertiny", "--out-dir", str(out_dir)]) == 0
 
@@ -58,7 +62,7 @@ def test_evaluate_process_loads_no_unused_stage(tmp_path):
 )
 def test_corpus_command_process_loads_only_its_stage(tmp_path, command, stages):
     corpus = tmp_path / "corpus.json"
-    write_corpus(generate_corpus(seed=21, n_records=25), corpus)
+    write_corpus(generate_corpus(seed=21, n_records=100), corpus)
     assert _probe([command, str(corpus)]) == {
         "stages_on_package_import": [],
         "http_client_on_import": False,
@@ -72,7 +76,7 @@ def test_run_process_loads_no_http_client(tmp_path, backend):
     """A mock run, and an HTTP run that the cache answers in full, load
     neither the HTTP client nor `dataclasses`."""
     corpus = tmp_path / "corpus.json"
-    write_corpus(generate_corpus(seed=21, n_records=25), corpus)
+    write_corpus(generate_corpus(seed=21, n_records=100), corpus)
     argv = ["run", str(corpus), "--name", "demo", "--text-source", "whispertiny"]
     argv += ["--cache-dir", str(tmp_path / "cache")]
     if backend == "http":
@@ -97,6 +101,21 @@ def test_corpus_import_loads_no_dataclasses():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_a_logged_warning_is_one_formatted_line(tmp_path):
+    """The first record loads `logging` and applies the CLI's format to it."""
+    objects = generate_corpus(seed=21, n_records=60)
+    random.Random(0).shuffle(objects)
+    corpus = tmp_path / "shuffled.json"
+    write_corpus(objects, corpus)
+    argv = [sys.executable, "-c", PROBE, "validate", str(corpus)]
+    proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["loaded"] == ["logging"]
+    [line] = proc.stderr.splitlines()
+    pattern = r"WARNING textemo\.corpus: records of \d+ script\(s\) are non-contiguous in file order, first \S+"
+    assert re.fullmatch(pattern, line), line
+
+
 def test_http_run_needs_no_requests(tmp_path, loopback):
     corpus = tmp_path / "corpus.json"
     objects = generate_corpus(seed=21, n_records=25)
@@ -115,10 +134,12 @@ def test_http_run_needs_no_requests(tmp_path, loopback):
 
 def _probe(argv: list[str], **env: str) -> dict:
     """What a fresh process running the CLI on argv, with env added to its
-    environment, imported, and its exit code."""
+    environment, imported, and its exit code; the process must print nothing
+    to stderr."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], env=_env(**env), capture_output=True, text=True, timeout=60, check=True
     )
+    assert proc.stderr == ""
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
