@@ -112,8 +112,10 @@ def cmd_refine(args: argparse.Namespace) -> int:
         selector="llm" if args.selector == "llm" else "longest_only",
         model_priority=args.model_priority.split(",") if args.model_priority else [],
     )
-    backend = make_backend(args.backend, args.mock_seed, args.endpoint) if cfg.selector == "llm" else None
-    cache = CompletionCache(args.cache_dir or None)  # in memory without a directory: one candidate list asks once
+    backend = cache = None  # the longest selector sends nothing
+    if cfg.selector == "llm":
+        backend = make_backend(args.backend, args.mock_seed, args.endpoint)
+        cache = CompletionCache(args.cache_dir or None)  # in memory without a directory: one candidate list asks once
 
     outcomes = fan_out(
         lambda record: refine_mod.refine_record(record, cfg, backend=backend, cache=cache, llm_model=args.model),
@@ -125,6 +127,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     for obj, record, outcome in zip(objects, corpus.records, outcomes):
         if isinstance(outcome, BackendError):
             unrefined[record.id.raw] = str(outcome)
+            obj.pop(corpus_mod.ENSEMBLE_KEY, None)  # an earlier refine's choice would be read as this one's
         else:
             obj[corpus_mod.ENSEMBLE_KEY] = outcome.chosen
             sources[outcome.chosen_source] += 1
@@ -145,19 +148,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .llm import make_backend
 
     corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
-    spec = ExperimentSpec(
-        name=args.name,
-        text_source=args.text_source,
-        prompt=args.prompt,
-        context_length=args.context_length,
-        context_mode=args.context_mode,
-        backend=args.backend,
-        model=args.model,
-    )
+    spec = ExperimentSpec(**{field: getattr(args, field) for field in ExperimentSpec._fields})
     result = run_experiment(
         spec,
         corpus,
-        make_backend(args.backend, args.mock_seed, args.endpoint),
+        make_backend(spec.backend, args.mock_seed, args.endpoint),
         cache=_make_cache(args),
         templates=load_templates(args.template_file),
         concurrency=args.concurrency,

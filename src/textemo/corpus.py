@@ -111,12 +111,16 @@ class UtteranceId(NamedTuple):
 
     def serialize(self) -> str:
         """Reconstruct the original id string byte-for-byte from the parsed fields."""
-        prefix = {KIND_SCRIPT: "script", KIND_IMPRO: "impro"}.get(self.dialogue_kind, "")
-        subset = "" if self.subset is None else f"_{self.subset}"
-        return (
-            f"Ses{self.session:02d}{self.recording}_{prefix}{self.dialogue_index:02d}{subset}"
-            f"_{self.speaker_sex}{self.utterance_index:03d}"
-        )
+        return format_id(*self[:7])
+
+
+def format_id(
+    session: int, recording: str, kind: str, dialogue_index: int, subset: int | None, sex: str, index: int
+) -> str:
+    """The id string of these segments, in UtteranceId's field order."""
+    prefix = "" if kind == KIND_BARE else kind  # a script or impro middle starts with its kind's name
+    subset_part = "" if subset is None else f"_{subset}"
+    return f"Ses{session:02d}{recording}_{prefix}{dialogue_index:02d}{subset_part}_{sex}{index:03d}"
 
 
 def parse_id(raw: str) -> UtteranceId:

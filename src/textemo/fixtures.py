@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .corpus import KNOWN_ASR_MODELS, write_corpus  # noqa: F401 - write_corpus is re-exported for callers
+from .corpus import KIND_BARE, KIND_IMPRO, KIND_SCRIPT, KNOWN_ASR_MODELS, format_id
+from .corpus import write_corpus  # noqa: F401 - re-exported for callers
 
 DEFAULT_LABEL_WEIGHTS = {
     "neutral": 0.22,
@@ -32,7 +33,7 @@ _WORD_BANK = (
 
 _SHORT_OUTPUTS = ("Yeah", "Hi", "Oh", "Hmm", "Okay")
 
-_KINDS = ("script", "impro", "bare")
+_KINDS = (KIND_SCRIPT, KIND_IMPRO, KIND_BARE)
 _SESSIONS = 5
 _LETTERS = "FMZ"
 _DIALOGUE_INDICES = 9
@@ -108,21 +109,12 @@ def generate_corpus(
 
         # Scripts may split into subsets that share one script key, the way
         # training-set ids do; impro and bare dialogues never do.
-        if kind == "script" and rng.random() < 0.6:
+        if kind == KIND_SCRIPT and rng.random() < 0.6:
             subsets: list[int | None] = list(range(1, rng.randint(1, 3) + 1))
         else:
             subsets = [None]
 
         for subset in subsets:
-            if kind == "script":
-                middle = f"script{dialogue_index:02d}"
-                if subset is not None:
-                    middle += f"_{subset}"
-            elif kind == "impro":
-                middle = f"impro{dialogue_index:02d}"
-            else:
-                middle = f"{dialogue_index:02d}"
-
             per_sex_counter = {"F": 0, "M": 0}
             for _ in range(rng.randint(2, 8)):
                 if len(records) >= n_records:
@@ -137,7 +129,7 @@ def generate_corpus(
                 }
                 if label is not None:
                     obj["emotion"] = label
-                obj["id"] = f"Ses{session:02d}{letter}_{middle}_{sex}{index:03d}"
+                obj["id"] = format_id(session, letter, kind, dialogue_index, subset, sex, index)
                 obj["speaker"] = f"Ses{session:02d}_{sex}"
                 obj["Ground truth"] = truth
                 for model in model_list:

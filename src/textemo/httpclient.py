@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 _DIGITS_RE = re.compile(r"[0-9]+")
 _HEX_RE = re.compile(rb"[0-9A-Fa-f]+")
 _STATUS_RE = re.compile(rb"[1-9][0-9][0-9]")
-_CONTROL_RE = re.compile(r"[\x00-\x20\x7f]")
 # Limits http.client keeps on a reply: bytes per line, and header lines per head.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
@@ -37,7 +36,7 @@ class Connection:
     """One keep-alive HTTP/1.1 connection (RFC 9112) that POSTs to ``url``,
     the endpoint as given. ``host`` and ``target`` are its ``Host`` header
     and request target, and ``headers`` the ones after ``Content-Length``,
-    in order; the caller has checked them for control characters.
+    in order; the caller has checked the URL and them for control characters.
 
     Making one reads the proxy from the environment (``http_proxy``,
     ``https_proxy``, ``all_proxy``, ``no_proxy``) and builds the request
@@ -77,8 +76,6 @@ class Connection:
                 raise ValueError(f"proxy {proxy!r} is not an http URL")
             if endpoint.scheme == "http":
                 target = endpoint._replace(fragment="").geturl()
-                if _CONTROL_RE.search(target):
-                    raise ValueError(f"endpoint {url!r} or its headers hold a control character")
                 headers = {**headers, **_proxy_auth(proxy_url)}
             else:
                 tunnel = (*address, _proxy_auth(proxy_url))

@@ -220,7 +220,9 @@ class HttpBackend:
         if url.port not in (None, 443 if url.scheme == "https" else 80):
             self._host += f":{url.port}"
         self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-        if _CONTROL_RE.search(self._target + self._host) or any("\r" in v or "\n" in v for v in self._headers.values()):
+        # the whole URL that a request line can carry: user info too, in an absolute-form request to a proxy
+        request_url = url._replace(fragment="").geturl()
+        if _CONTROL_RE.search(request_url) or any("\r" in v or "\n" in v for v in self._headers.values()):
             raise ValueError(f"endpoint {endpoint!r} or its headers hold a control character")
         self._timeout = timeout
         self._local = threading.local()  # this thread's connection, as conn

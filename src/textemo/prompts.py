@@ -2,9 +2,10 @@
 
 Templates live in a plain-text file of records separated by ``--- <name>``
 lines; the shipped defaults are the five prompts used by the experiments
-(baseline, expert, gambler, cot, cot_fired). Bodies carry three slots —
-{context}, {current speaker}, {current sentence} — replaced by pure textual
-substitution. A doubled brace renders as a literal brace.
+(baseline, expert, gambler, cot, cot_fired). Bodies carry three slots,
+the ``SLOT_*`` markers of the context, the current speaker and the current
+sentence, replaced by pure textual substitution. A doubled brace renders
+as a literal brace.
 """
 
 from __future__ import annotations
@@ -21,18 +22,18 @@ SLOT_CONTEXT = "{context}"
 SLOT_SPEAKER = "{current speaker}"
 SLOT_SENTENCE = "{current sentence}"
 
-# A body's tokens, and a lone brace last: a brace that starts no token is literal text.
-_TOKEN_RE = re.compile(r"\{\{|\}\}|\{context\}|\{current speaker\}|\{current sentence\}|[{}]")
-# Each token as it is spelled in the str.format pattern of a body (see _format_pattern).
+# Each token of a body, as it is spelled in the str.format pattern of the body (see _format_pattern).
+# _TOKEN_RE tries them in this order, so a lone brace, last, is one that starts no other token.
 _PATTERN_TOKENS = {
     "{{": "{{",
     "}}": "}}",
-    "{": "{{",
-    "}": "}}",
     SLOT_CONTEXT: "{0}",
     SLOT_SPEAKER: "{1}",
     SLOT_SENTENCE: "{2}",
+    "{": "{{",
+    "}": "}}",
 }
+_TOKEN_RE = re.compile("|".join(map(re.escape, _PATTERN_TOKENS)))
 _SEPARATOR_RE = re.compile(r"^---\s+(\S+)\s*$")
 
 DEFAULT_TEMPLATE_RESOURCE = "templates.txt"

@@ -49,9 +49,6 @@ class NormalizedTokens:
     def __init__(self, tokens: tuple[str, ...]):
         self.tokens = tokens
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 def _tokenize(text: str) -> list[str]:
     # Non-ASCII text takes the regex: some of it lowers to ASCII ("İ", the Kelvin sign "K").

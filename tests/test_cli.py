@@ -123,6 +123,12 @@ class TestWer:
         assert lines[0].startswith("model,")
         assert len(lines) == 13  # header + 11 models + counts
 
+    def test_records_it_cannot_score_are_counted(self, tmp_path, sample_entry, capsys):
+        path = tmp_path / "corpus.json"
+        write_corpus([sample_entry, make_entry("Ses01F_01_F000")], path)  # the second has no ground truth
+        assert main(["wer", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "skipped: {'no_ground_truth': 1}"
+
 
 class TestRefine:
     def test_longest_selector_adds_ensemble(self, tmp_path, sample_entry, capsys):
@@ -134,6 +140,12 @@ class TestRefine:
         assert refined[0]["ensemble"] == "now i suppose i have been bat's going from me"
         # untouched keys are preserved
         assert refined[0]["Ground truth"] == sample_entry["Ground truth"]
+
+    def test_longest_selector_opens_no_cache(self, tmp_path, fixture_corpus):
+        cache = tmp_path / "newcache"
+        argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--selector", "longest"]
+        assert main(argv + ["--cache-dir", str(cache)]) == 0
+        assert not cache.exists()
 
     def test_llm_selector_with_mock(self, tmp_path, fixture_corpus):
         outfile = tmp_path / "refined.json"
@@ -260,14 +272,18 @@ class TestRefine:
         monkeypatch.setattr(MockBackend, "send", reject_one)
         infile, outfile = tmp_path / "in.json", tmp_path / "out.json"
         objects = [make_entry("Ses01F_01_F000"), make_entry("Ses01F_01_M001", text="rejected text")]
-        write_corpus(objects + [make_entry("Ses01F_01_F002", text="well i do")], infile)
+        # the last two were refined before: the one that refines again gets a new ensemble, the other loses its own
+        objects += [make_entry("Ses01F_01_F002", text="well i do"), make_entry("Ses01F_01_M003", text="rejected text too")]
+        for obj in objects[2:]:
+            obj["ensemble"] = "an earlier choice"
+        write_corpus(objects, infile)
         assert main(["refine", "--in", str(infile), "--out", str(outfile), "--concurrency", "1"]) == 3
         out, err = capsys.readouterr()
-        assert "refined 2/3 record(s)" in out
-        why = f"request rejected (HTTP 400) [fingerprint {rejected[0]}]"
-        assert err == f"1 record(s) left unrefined: {{'Ses01F_01_M001': '{why}'}}\n"
+        assert "refined 2/4 record(s)" in out
+        why = [f"request rejected (HTTP 400) [fingerprint {fingerprint}]" for fingerprint in rejected]
+        assert err == f"2 record(s) left unrefined: {{'Ses01F_01_M001': '{why[0]}', 'Ses01F_01_M003': '{why[1]}'}}\n"
         refined = json.loads(outfile.read_text(encoding="utf-8"))
-        assert ["ensemble" in obj for obj in refined] == [True, False, True]
+        assert [obj.get("ensemble") for obj in refined] == ["well i think so yes", None, "well i do yes", None]
 
     def test_zero_min_length_is_an_error(self, tmp_path, fixture_corpus, capsys):
         argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--min-length", "0"]
@@ -564,6 +580,9 @@ class TestMatrix:
             ([{"name": "a", "text_source": "whispertiny"}, {"text_source": "whispertiny"}], "row 1: required key 'name'"),
             ([{"name": "a"}], "row 0: required key 'text_source'"),
             ([{"name": "a", "text_source": "whispertiny", "context_length": "3"}], "'context_length' must be an integer"),
+            ([{"name": "a", "text_source": "whispertiny", "context_mode": "turn"}], "unknown context_mode 'turn'"),
+            ([{"name": "a", "text_source": "whispertiny", "backend": "local"}], "unknown backend 'local'"),
+            ({"experiments": {}}, "'experiments' must be a JSON array"),
         ],
     )
     def test_malformed_config_is_an_error(self, tmp_path, fixture_corpus, capsys, config, message):

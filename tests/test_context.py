@@ -89,6 +89,11 @@ class TestBuildContext:
         with pytest.raises(UnknownTextSource):
             build_context(worked_example_corpus, 5, mode="script", length=3, text_source="nosuchmodel")
 
+    @pytest.mark.parametrize("mode,length,message", [("turn", 3, "unknown context mode 'turn'"), ("script", 0, ">= 1")])
+    def test_unknown_mode_or_empty_length(self, worked_example_corpus, mode, length, message):
+        with pytest.raises(ValueError, match=message):
+            build_context(worked_example_corpus, 5, mode=mode, length=length, text_source="whispertiny")
+
     def test_ensemble_source_always_allowed(self, worked_example_corpus):
         window = build_context(worked_example_corpus, 2, mode="script", length=2, text_source="ensemble")
         assert len(window.items) == 2  # falls back to longest transcription

@@ -715,9 +715,8 @@ class TestHttpBackend:
 
         monkeypatch.setenv("HTTP_PROXY", loopback.url(""))
         endpoint = "http://us\x01er@api.example.invalid/v1/chat"  # the host and the path are clean
-        backend = HttpBackend(endpoint=endpoint, api_key="k")
         with pytest.raises(ValueError, match=re.escape(f"endpoint {endpoint!r} or its headers hold a control character")):
-            backend.send(fixture_request())
+            HttpBackend(endpoint=endpoint, api_key="k")
         assert loopback.received == []
 
     def test_a_malformed_reply_to_connect_is_a_transport_error(self, loopback, monkeypatch):

@@ -128,6 +128,10 @@ class TestTemplateFile:
         assert templates["a"].body == "body a"
         assert templates["b"].body == "body b"
 
+    def test_empty_body_rejected(self):
+        with pytest.raises(ValueError, match="template 'b' has an empty body"):
+            parse_template_file("--- a\nx\n--- b\n \n--- c\ny\n")
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_template_file("--- a\nx\n--- a\ny\n")

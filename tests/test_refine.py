@@ -217,6 +217,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RefinementConfig(length_unit="words")
 
+    def test_bad_selector(self):
+        with pytest.raises(ValueError, match="unknown selector 'longest'"):
+            RefinementConfig(selector="longest")
+
     def test_duplicate_priority(self):
         with pytest.raises(ValueError):
             RefinementConfig(model_priority=["a", "a"])
