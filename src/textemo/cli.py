@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 # most of each one's time.
 from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL, configure_logging
 from . import corpus as corpus_mod
-from . import metrics
 
 if TYPE_CHECKING:
     from .llm import CompletionCache
@@ -67,10 +66,6 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _add_ua_definition_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ua-definition", choices=metrics.UA_DEFINITIONS, default=metrics.UA_MACRO_RECALL)
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     objects = corpus_mod.read_objects(args.corpus)
     records, violations = corpus_mod.parse_records(objects, strict=True)
@@ -90,7 +85,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_wer(args: argparse.Namespace) -> int:
     from . import wer as wer_mod
 
-    report = wer_mod.wer_report(corpus_mod.load_corpus(args.corpus, strict=args.strict))
+    report = wer_mod.wer_report(corpus_mod.load_corpus(args.corpus))
     print(report.format_table())
     if report.skipped:
         print(f"skipped: {report.skipped}")
@@ -105,12 +100,11 @@ def cmd_refine(args: argparse.Namespace) -> int:
     from .llm import BackendError, CompletionCache, fan_out, make_backend
 
     objects = corpus_mod.read_objects(args.infile)
-    corpus = corpus_mod.build_corpus(objects, strict=args.strict)
+    corpus = corpus_mod.build_corpus(objects)
     cfg = refine_mod.RefinementConfig(
         min_length=refine_mod.DEFAULT_MIN_LENGTH if args.min_length is None else args.min_length,
         length_unit="characters" if args.unit == "chars" else "tokens",
         selector="llm" if args.selector == "llm" else "longest_only",
-        model_priority=args.model_priority.split(",") if args.model_priority else [],
     )
     backend = cache = None  # the longest selector sends nothing
     if cfg.selector == "llm":
@@ -147,7 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .experiments import ExperimentSpec, load_templates, run_experiment, write_run_artifacts
     from .llm import make_backend
 
-    corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
+    corpus = corpus_mod.load_corpus(args.corpus)
     spec = ExperimentSpec(**{field: getattr(args, field) for field in ExperimentSpec._fields})
     result = run_experiment(
         spec,
@@ -156,7 +150,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         cache=_make_cache(args),
         templates=load_templates(args.template_file),
         concurrency=args.concurrency,
-        ua_definition=args.ua_definition,
     )
     paths = write_run_artifacts(result, args.out_dir)
     print(
@@ -178,14 +171,13 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
     rows = run_matrix(
         load_experiment_config(args.config),
-        corpus_mod.load_corpus(args.corpus, strict=args.strict),
+        corpus_mod.load_corpus(args.corpus),
         cache=_make_cache(args),
         out_dir=args.out_dir,
         template_file=args.template_file,
         concurrency=args.concurrency,
         mock_seed=args.mock_seed,
         endpoint=args.endpoint,
-        ua_definition=args.ua_definition,
     )
     print(format_matrix_table(rows))
     if args.out_dir:
@@ -205,7 +197,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus = corpus_mod.load_corpus(args.corpus, strict=args.strict)
+    from . import metrics
+
+    corpus = corpus_mod.load_corpus(args.corpus)
     predictions = corpus_mod.read_json(args.predictions)
     _check_prediction_entries(predictions)
 
@@ -220,7 +214,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pairs.append((rec.emotion, entry["prediction"]))
     if missing:
         print(f"warning: {missing} prediction id(s) not in corpus", file=sys.stderr)
-    report = metrics.evaluate(pairs, ua_definition=args.ua_definition)
+    report = metrics.evaluate(pairs)
     print(report.format_table())
     if args.eval_out:
         corpus_mod.write_json(args.eval_out, report.to_dict())
@@ -271,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wer", help="per-model, per-emotion WER report")
     p.add_argument("corpus")
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--wer-out", default=None, help="write the report as CSV")
     p.set_defaults(func=cmd_wer)
 
@@ -281,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selector", choices=["llm", "longest"], default="llm")
     p.add_argument("--min-length", type=int, default=None)  # None: refine.DEFAULT_MIN_LENGTH
     p.add_argument("--unit", choices=["chars", "tokens"], default="chars")
-    p.add_argument("--model-priority", default=None, help="comma-separated tie-break order")
-    p.add_argument("--strict", action="store_true")
     _add_backend_args(p)
     p.set_defaults(func=cmd_refine)
 
@@ -295,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context-length", type=int, default=3)
     p.add_argument("--context-mode", choices=corpus_mod.CONTEXT_MODES, default=corpus_mod.MODE_SESSION)
     p.add_argument("--out-dir", default="runs")
-    _add_ua_definition_arg(p)
-    p.add_argument("--strict", action="store_true")
     _add_backend_args(p)
     p.set_defaults(func=cmd_run)
 
@@ -305,17 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="experiments JSON (default: shipped matrix)")
     p.add_argument("--template-file", default=None)
     p.add_argument("--out-dir", default=None)
-    _add_ua_definition_arg(p)
-    p.add_argument("--strict", action="store_true")
     _add_request_args(p)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("evaluate", help="score a predictions file against corpus labels")
     p.add_argument("--predictions", required=True)
     p.add_argument("--corpus", required=True)
-    _add_ua_definition_arg(p)
     p.add_argument("--eval-out", default=None)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gen-fixture", help="write a seeded synthetic corpus")

@@ -298,9 +298,9 @@ def parse_records(objects: Iterable[Mapping], strict: bool = False) -> tuple[lis
     return records, violations + repeats
 
 
-def build_corpus(objects: Iterable[Mapping], strict: bool = False) -> Corpus:
+def build_corpus(objects: Iterable[Mapping]) -> Corpus:
     """Parse and index decoded JSON objects; the first violation parse_records lists is raised."""
-    records, violations = parse_records(objects, strict)
+    records, violations = parse_records(objects)
     if violations:
         raise violations[0]
     return index_records(records)
@@ -399,9 +399,9 @@ def read_objects(path: str | Path) -> list[dict]:
     return objects
 
 
-def load_corpus(path: str | Path, strict: bool = False) -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Load and index a corpus file.
 
     Raises OSError for I/O failures and SchemaError for malformed content.
     """
-    return build_corpus(read_objects(path), strict=strict)
+    return build_corpus(read_objects(path))

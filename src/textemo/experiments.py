@@ -33,7 +33,7 @@ from .llm import (
     fan_out,
     make_backend,
 )
-from .metrics import EVAL_LABELS, UA_MACRO_RECALL, EmptyInput, EvalReport, evaluate
+from .metrics import EVAL_LABELS, EmptyInput, EvalReport, evaluate
 from .prompts import PromptTemplate, load_templates, render
 
 FALLBACK_LABEL = "neutral"
@@ -45,6 +45,8 @@ _PREDICTION_LINE = (
     '{"event": "prediction", "fallback": %s, "fingerprint": %s, "from_cache": %s, "id": %s, "prediction": %s}\n'
 )
 _JSON_BOOLS = ("false", "true")
+# A predictions file's entry, as write_json spells {"id": …, "prediction": …} in its list.
+_PREDICTION_ENTRY = '  {\n    "id": %s,\n    "prediction": %s\n  }'
 
 
 class _SpecFields(NamedTuple):
@@ -162,7 +164,6 @@ def run_experiment(
     retry: RetryPolicy = DEFAULT_RETRY,
     templates: Mapping[str, PromptTemplate] | None = None,
     concurrency: int = 4,
-    ua_definition: str = UA_MACRO_RECALL,
 ) -> RunResult:
     """Predict every need_prediction record and evaluate when truth exists.
 
@@ -227,7 +228,7 @@ def run_experiment(
     eval_report: EvalReport | None = None
     if any(truth is not None for truth, _ in truth_pairs):
         try:
-            eval_report = evaluate(truth_pairs, ua_definition=ua_definition)
+            eval_report = evaluate(truth_pairs)
         except EmptyInput:
             log(__name__, "warning", "experiment %s: truth labels exist but none in the target set", spec.name)
 
@@ -250,9 +251,12 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> dict[str, Pat
     name = result.spec.name
     paths: dict[str, Path] = {}
 
-    paths["predictions"] = write_json(
-        out / f"{name}.predictions.json", [{"id": e.id, "prediction": e.prediction} for e in result.predictions]
+    entries = ",\n".join(
+        _PREDICTION_ENTRY % (encode_basestring_ascii(e.id), encode_basestring_ascii(e.prediction))
+        for e in result.predictions
     )
+    paths["predictions"] = out / f"{name}.predictions.json"
+    paths["predictions"].write_text(f"[\n{entries}\n]\n" if entries else "[]\n", encoding="utf-8")
     if result.eval_report is not None:
         paths["eval"] = write_json(out / f"{name}.eval.json", result.eval_report.to_dict())
 
@@ -301,7 +305,6 @@ def run_matrix(
     concurrency: int = 4,
     mock_seed: int = 0,
     endpoint: str = DEFAULT_ENDPOINT,
-    ua_definition: str = UA_MACRO_RECALL,
 ) -> list[dict]:
     """Run every spec sequentially against a shared cache and one parse of
     the templates. Without a cache, each row keeps its own map in memory:
@@ -318,15 +321,7 @@ def run_matrix(
     for spec in specs:
         try:
             backend = make_backend(spec.backend, mock_seed, endpoint)
-            result = run_experiment(
-                spec,
-                corpus,
-                backend,
-                cache=cache,
-                templates=templates,
-                concurrency=concurrency,
-                ua_definition=ua_definition,
-            )
+            result = run_experiment(spec, corpus, backend, cache=cache, templates=templates, concurrency=concurrency)
             if out_dir is not None:
                 write_run_artifacts(result, out_dir)
             row: dict = {"name": spec.name, "n_predictions": len(result.predictions)}

@@ -1,8 +1,8 @@
 """Prediction scoring: confusion matrix, per-class F1, and unweighted accuracy.
 
-Unweighted accuracy (UA) defaults to macro-averaged recall over the four
-target classes; plain micro accuracy is available behind ua_definition for
-challenge definitions that want it. Truth labels outside the target set are
+Unweighted accuracy (UA) is macro-averaged recall over the four target
+classes, the metric the challenge reports; plain accuracy is the trace of the
+confusion matrix over n_scored. Truth labels outside the target set are
 excluded from scoring but counted.
 """
 
@@ -14,9 +14,7 @@ from . import log
 
 EVAL_LABELS = ("neutral", "sad", "happy", "angry")
 
-UA_MACRO_RECALL = "macro-recall"  # the default
-UA_MICRO = "micro"
-UA_DEFINITIONS = (UA_MACRO_RECALL, UA_MICRO)
+UA_MACRO_RECALL = "macro-recall"  # named in the eval file and the table
 
 
 class EmptyInput(ValueError):
@@ -32,12 +30,11 @@ class EvalReport(NamedTuple):
     confusion: list[list[int]]
     per_class_f1: dict[str, float]
     ua: float
-    ua_definition: str
     n_scored: int
     n_excluded: int
 
     def to_dict(self) -> dict:
-        return {"labels": list(EVAL_LABELS), **self._asdict()}
+        return {"labels": list(EVAL_LABELS), "ua_definition": UA_MACRO_RECALL, **self._asdict()}
 
     def format_table(self) -> str:
         header = "truth \\ pred" + "".join(f"{l:>9}" for l in EVAL_LABELS)
@@ -46,22 +43,17 @@ class EvalReport(NamedTuple):
             lines.append(f"{label:<12}" + "".join(f"{n:>9}" for n in self.confusion[i]))
         lines.append("")
         lines.append("  ".join(f"F1({l})={self.per_class_f1[l]:.3f}" for l in EVAL_LABELS))
-        lines.append(f"UA ({self.ua_definition}) = {self.ua:.3f}   scored={self.n_scored} excluded={self.n_excluded}")
+        lines.append(f"UA ({UA_MACRO_RECALL}) = {self.ua:.3f}   scored={self.n_scored} excluded={self.n_excluded}")
         return "\n".join(lines)
 
 
-def evaluate(
-    pairs: list[tuple[str | None, str]],
-    ua_definition: str = UA_MACRO_RECALL,
-) -> EvalReport:
+def evaluate(pairs: list[tuple[str | None, str]]) -> EvalReport:
     """Score (truth, prediction) pairs.
 
     Pairs whose truth is missing or outside the 4-class set are excluded and
     counted. Predictions must already be normalized into the 4-class set.
     Raises EmptyInput when nothing survives exclusion.
     """
-    if ua_definition not in UA_DEFINITIONS:
-        raise ValueError(f"unknown ua_definition {ua_definition!r}")
     pos = {label: i for i, label in enumerate(EVAL_LABELS)}
     confusion = [[0] * len(EVAL_LABELS) for _ in EVAL_LABELS]
     n_excluded = 0
@@ -96,16 +88,10 @@ def evaluate(
             r = recall or 0.0
             per_class_f1[label] = 2 * precision * r / (precision + r)
 
-    if ua_definition == UA_MACRO_RECALL:
-        ua = sum(recalls) / len(recalls)
-    else:
-        ua = sum(confusion[i][i] for i in range(len(EVAL_LABELS))) / n_scored
-
     return EvalReport(
         confusion=confusion,
         per_class_f1=per_class_f1,
-        ua=ua,
-        ua_definition=ua_definition,
+        ua=sum(recalls) / len(recalls),
         n_scored=n_scored,
         n_excluded=n_excluded,
     )

@@ -10,7 +10,7 @@ record's "ensemble" field in its output file.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import DEFAULT_MODEL
 from .corpus import UtteranceRecord, is_blank
@@ -34,7 +34,6 @@ class _ConfigFields(NamedTuple):
     min_length: int = DEFAULT_MIN_LENGTH
     length_unit: str = "characters"  # or "tokens"
     selector: str = "llm"  # or "longest_only"
-    model_priority: Sequence[str] = ()
 
 
 class RefinementConfig(_ConfigFields):
@@ -50,8 +49,6 @@ class RefinementConfig(_ConfigFields):
             raise ValueError(f"unknown length_unit {self.length_unit!r}")
         if self.selector not in ("llm", "longest_only"):
             raise ValueError(f"unknown selector {self.selector!r}")
-        if len(set(self.model_priority)) != len(self.model_priority):
-            raise ValueError("model_priority contains duplicates")
         return self
 
 
@@ -76,30 +73,23 @@ def _nonblank(record: UtteranceRecord) -> list[tuple[str, str]]:
 def filter_transcriptions(record: UtteranceRecord, cfg: RefinementConfig) -> list[tuple[str, str]]:
     """Keep non-blank candidates strictly longer than min_length; if none
     survive, return every non-blank candidate (every candidate when all are
-    blank).
-
-    Order is model_priority first, then record insertion order.
+    blank), in record insertion order.
     """
     return _filter(record, cfg)[0]
 
 
 def _filter(record: UtteranceRecord, cfg: RefinementConfig) -> tuple[list[tuple[str, str]], bool]:
     """filter_transcriptions' candidates, and whether none passed the length filter."""
-    ordered = _nonblank(record)
-    if cfg.model_priority:
-        priority = {name: pos for pos, name in enumerate(cfg.model_priority)}
-        ordered.sort(key=lambda mt: priority.get(mt[0], len(priority)))
-    kept = [(m, t) for m, t in ordered if _length(t, cfg.length_unit) > cfg.min_length]
-    return (kept, False) if kept else (ordered, True)
+    nonblank = _nonblank(record)
+    kept = [(m, t) for m, t in nonblank if _length(t, cfg.length_unit) > cfg.min_length]
+    return (kept, False) if kept else (nonblank, True)
 
 
-def select_longest(candidates: list[tuple[str, str]], cfg: RefinementConfig) -> tuple[str, str]:
-    """Candidate with the maximum character count; ties broken by
-    model_priority position, then model name."""
+def select_longest(candidates: list[tuple[str, str]]) -> tuple[str, str]:
+    """Candidate with the maximum character count; ties broken by model name."""
     if not candidates:
         raise ValueError("no candidates to select from")
-    priority = {name: pos for pos, name in enumerate(cfg.model_priority)}
-    return min(candidates, key=lambda mt: (-len(mt[1]), priority.get(mt[0], len(priority)), mt[0]))
+    return min(candidates, key=lambda mt: (-len(mt[1]), mt[0]))
 
 
 def build_refine_prompt(candidates: list[tuple[str, str]]) -> str:
@@ -150,6 +140,6 @@ def refine_record(
                 break
 
     if chosen is None:
-        chosen = select_longest(candidates, cfg)
+        chosen = select_longest(candidates)
 
     return RefinementOutcome(chosen=chosen[1], chosen_source=source)

@@ -372,7 +372,8 @@ def _repeat_early_then_schema_fault(objects):
 
 
 class TestValidateAgreesWithLoad:
-    """`validate` lists parse_records' violations; every loader raises the first of them."""
+    """Every loader raises the first violation parse_records lists; `validate` lists them all, and
+    in strict mode also an ASR model name outside the known set, which a load only warns about."""
 
     @pytest.mark.parametrize(
         "mutate, positions",
@@ -382,20 +383,25 @@ class TestValidateAgreesWithLoad:
             pytest.param(_set(5, "whispertiny", 7), [5], id="non-string-transcription"),
             pytest.param(_set(2, "need_prediction", "maybe"), [2], id="bad-need-prediction"),
             pytest.param(_strip_transcriptions, [4], id="no-transcriptions"),
-            pytest.param(_set(6, "shinynewasr", "well"), [6], id="unknown-model-strict"),
+            pytest.param(_set(6, "shinynewasr", "well"), [], id="unknown-model-strict"),
             pytest.param(_repeat_target, [20], id="repeated-id"),
             pytest.param(_repeat_early_then_schema_fault, [19, 1], id="repeat-before-schema-fault"),
         ],
     )
-    def test_build_corpus_raises_the_first_listed_violation(self, mutate, positions):
+    def test_build_corpus_raises_the_first_listed_violation(self, mutate, positions, caplog):
         objects = generate_corpus(seed=5, n_records=20)
         mutate(objects)
-        records, violations = parse_records(objects, strict=True)
+        records, violations = parse_records(objects)
         assert [v.position for v in violations] == positions
         if not violations:
-            assert build_corpus(objects, strict=True).records == records
+            with caplog.at_level("WARNING"):
+                assert build_corpus(objects).records == records
+            unknown = [m for m in caplog.messages if m.startswith("unknown ASR model(s)")]
+            assert len(unknown) == ("shinynewasr" in objects[6])
+            if unknown:
+                assert [v.position for v in parse_records(objects, strict=True)[1]] == [6]
             return
         with pytest.raises(SchemaError) as excinfo:
-            build_corpus(objects, strict=True)
+            build_corpus(objects)
         raised, first = excinfo.value, violations[0]
         assert (raised.position, raised.key, str(raised)) == (first.position, first.key, str(first))

@@ -256,6 +256,26 @@ class TestArtifacts:
         lines = write_run_artifacts(result, tmp_path)["log"].read_bytes().decode("utf-8").splitlines()
         assert lines[:-1] == [json.dumps({"event": "prediction", **e._asdict()}, sort_keys=True) for e in events]
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            pytest.param([], id="empty"),
+            pytest.param(["Ses01F_impro01_F000"], id="one"),
+            pytest.param(
+                ["Sés01_é", 'q"uote', "back\\slash", "ctl\x00\x1f\x7f\n\t", "sep\u2028\u2029", "\U0001f600"],
+                id="escapes",
+            ),
+        ],
+    )
+    def test_predictions_file_is_the_indented_json_of_its_entries(self, tmp_path, ids):
+        events = [
+            PredictionEvent(id=i, fingerprint="ab" * 32, prediction="sad", from_cache=False, fallback=False) for i in ids
+        ]
+        result = RunResult(spec=mock_spec(name="pinned"), predictions=events, failures=[], eval_report=None)
+        entries = [{"id": e.id, "prediction": e.prediction} for e in events]
+        written = write_run_artifacts(result, tmp_path)["predictions"].read_bytes()
+        assert written == (json.dumps(entries, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
     def test_files_written(self, small_corpus, tmp_path):
         result = run_experiment(mock_spec(name="demo"), small_corpus, MockBackend(seed=0))
         paths = write_run_artifacts(result, tmp_path)

@@ -6,7 +6,6 @@ import json
 import os
 import random
 import re
-import signal
 import socket
 import sys
 import threading
@@ -64,18 +63,6 @@ class FlakyBackend:
 
 def no_sleep_policy(attempts: int = 5) -> RetryPolicy:
     return RetryPolicy(attempts=attempts, sleep=lambda _s: None)
-
-
-def wait_until_main_thread_joins(timeout: float = 10.0) -> None:
-    """Return once the main thread is blocked in `Thread.join`. A signal sent
-    earlier can land while it runs code whose exceptions are discarded, such
-    as a finalizer, and the KeyboardInterrupt is then lost."""
-    main = threading.main_thread().ident
-    deadline = time.monotonic() + timeout
-    while sys._current_frames()[main].f_code.co_name not in ("join", "_wait_for_tstate_lock"):
-        if time.monotonic() > deadline:
-            raise AssertionError("the main thread did not block in Thread.join")
-        time.sleep(0.001)
 
 
 class TestFingerprint:
@@ -453,20 +440,31 @@ class TestFanOut:
         assert results == [-n for n in range(3000)]
         assert calls == Counter(range(3000))
 
-    def test_an_interrupt_while_waiting_stops_new_items(self):
-        started = []
+    def test_an_interrupt_while_waiting_stops_new_items(self, monkeypatch):
+        join = threading.Thread.join
+        joins = []
 
-        def interrupt_at_first(n):
-            started.append(n)
-            if n == 0:  # what Ctrl-C does: KeyboardInterrupt in the main thread
-                wait_until_main_thread_joins()
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            time.sleep(0.01)
+        def interrupted_join(thread, timeout=None):
+            if threading.current_thread() is threading.main_thread() and not joins:
+                joins.append(thread)
+                raise KeyboardInterrupt  # what Ctrl-C does while the caller waits
+            return join(thread, timeout)
+
+        started = []  # the thread that started each item
+        release = threading.Event()
+
+        def held(n):
+            started.append(threading.current_thread())
+            release.wait(10)  # no worker takes a second item before the caller has stopped them
             return n
 
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
         with pytest.raises(KeyboardInterrupt):
-            fan_out(interrupt_at_first, list(range(200)), 2)
-        time.sleep(0.1)  # the items already running finish
+            fan_out(held, list(range(200)), 2)
+        release.set()
+        for worker in set(started):
+            join(worker, 10)
+            assert not worker.is_alive()
         assert len(started) < 200
 
 

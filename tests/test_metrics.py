@@ -124,13 +124,9 @@ class TestEvaluate:
         assert report.ua == 1.0
         assert any("absent from truth" in m for m in caplog.messages)
 
-    def test_micro_definition(self):
-        pairs = [("sad", "sad")] * 3 + [("neutral", "sad")]
-        macro = evaluate(pairs, ua_definition="macro-recall")
-        micro = evaluate(pairs, ua_definition="micro")
-        assert macro.ua == 0.5  # recalls 1 and 0
-        assert micro.ua == 0.75  # 3 of 4 correct
-
-    def test_unknown_definition(self):
-        with pytest.raises(ValueError):
-            evaluate([("sad", "sad")], ua_definition="weighted")
+    def test_ua_is_macro_recall_and_says_so(self):
+        report = evaluate([("sad", "sad")] * 3 + [("neutral", "sad")])
+        assert report.ua == 0.5  # recalls 1 and 0
+        assert sum(report.confusion[i][i] for i in range(len(EVAL_LABELS))) / report.n_scored == 0.75  # plain accuracy
+        assert report.to_dict()["ua_definition"] == "macro-recall"
+        assert report.format_table().splitlines()[-1].startswith("UA (macro-recall) = 0.500")

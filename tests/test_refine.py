@@ -53,12 +53,6 @@ class TestFilter:
         cfg = RefinementConfig(min_length=3, length_unit="tokens")
         assert filter_transcriptions(record, cfg) == [("whisperbase", "one two three four")]
 
-    def test_priority_then_insertion_order(self):
-        record = make_record({"hubertlarge": "aaaaaaaa", "whispertiny": "bbbbbbbb", "wavlmplus": "cccccccc"})
-        cfg = RefinementConfig(model_priority=["whispertiny"])
-        kept = filter_transcriptions(record, cfg)
-        assert [m for m, _ in kept] == ["whispertiny", "hubertlarge", "wavlmplus"]
-
     def test_monotone_in_min_length(self, sample_record):
         previous = None
         for min_length in range(1, 60):
@@ -75,17 +69,13 @@ class TestFilter:
 
 class TestSelectLongest:
     def test_strict_maximum(self):
-        assert select_longest([("a", "xx"), ("b", "xxxx")], RefinementConfig()) == ("b", "xxxx")
-
-    def test_tie_break_by_priority(self):
-        cfg = RefinementConfig(model_priority=["b", "a"])
-        assert select_longest([("a", "xx"), ("b", "xx")], cfg) == ("b", "xx")
+        assert select_longest([("a", "xx"), ("b", "xxxx")]) == ("b", "xxxx")
 
     def test_tie_break_by_name_without_priority(self):
-        assert select_longest([("b", "xx"), ("a", "xx")], RefinementConfig()) == ("a", "xx")
+        assert select_longest([("b", "xx"), ("a", "xx")]) == ("a", "xx")
 
     def test_single_candidate(self):
-        assert select_longest([("a", "x")], RefinementConfig()) == ("a", "x")
+        assert select_longest([("a", "x")]) == ("a", "x")
 
 
 class TestBuildPrompt:
@@ -179,9 +169,9 @@ class TestRefineRecord:
         "cfg",
         [
             RefinementConfig(selector="longest_only"),
-            RefinementConfig(selector="longest_only", min_length=3, length_unit="tokens", model_priority=["w2v2100"]),
+            RefinementConfig(selector="longest_only", min_length=3, length_unit="tokens"),
         ],
-        ids=["chars", "tokens-with-priority"],
+        ids=["chars", "tokens-with-min-length-3"],
     )
     def test_all_short_means_no_non_blank_candidate_is_long(self, cfg):
         """The reference checks every non-blank candidate (every candidate when all are blank)."""
@@ -220,7 +210,3 @@ class TestConfigValidation:
     def test_bad_selector(self):
         with pytest.raises(ValueError, match="unknown selector 'longest'"):
             RefinementConfig(selector="longest")
-
-    def test_duplicate_priority(self):
-        with pytest.raises(ValueError):
-            RefinementConfig(model_priority=["a", "a"])
