@@ -9,7 +9,8 @@ load_corpus``), so ``import textemo`` loads no stage, and a command loads
 only the stages it runs. The backend option values below are the exception:
 every CLI process builds the whole parser, which names them, so they live
 here rather than in ``textemo.llm``, and a command that sends no request
-does not load the backend module.
+does not load the backend module. ``BackendError`` and ``AuthError`` live
+here for the same reason: the CLI catches ``AuthError`` by its class.
 
 The stages log through ``log`` below, which imports ``logging`` with the
 first record, so a process that prints no warning never loads it.
@@ -23,6 +24,19 @@ BACKEND_MOCK = "mock"  # the default
 BACKEND_KINDS = (BACKEND_HTTP, BACKEND_MOCK)
 DEFAULT_MODEL = "gpt-3.5-turbo"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
+
+
+class BackendError(Exception):
+    """Base class for annotator-backend failures; carries the request fingerprint."""
+
+    def __init__(self, message: str, fingerprint: str | None = None):
+        super().__init__(message if fingerprint is None else f"{message} [fingerprint {fingerprint}]")
+        self.fingerprint = fingerprint
+
+
+class AuthError(BackendError):
+    """Authentication/authorization failure; never retried."""
+
 
 # The logging.basicConfig keywords that configure_logging recorded, applied
 # by the next record; None once applied.

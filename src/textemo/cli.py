@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 # them, in their own bodies, so a process loads only what its subcommand
 # runs: a matrix pass starts one `evaluate` process per row, and start-up is
 # most of each one's time.
-from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL, configure_logging
+from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL, AuthError, configure_logging
 from . import corpus as corpus_mod
 
 if TYPE_CHECKING:
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(level="INFO", format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except _auth_error() as exc:
+    except AuthError as exc:
         print(f"auth error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except OSError as exc:
@@ -328,12 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # SchemaError, JSONDecodeError, UnicodeDecodeError, EmptyInput, bad options
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-
-
-def _auth_error() -> tuple[type[Exception], ...]:
-    """`llm.AuthError` once a command has loaded the backend layer; before that nothing can raise it."""
-    llm = sys.modules.get(f"{__package__}.llm")
-    return () if llm is None else (llm.AuthError,)
 
 
 if __name__ == "__main__":

@@ -373,8 +373,9 @@ def read_objects(path: str | Path) -> list[dict]:
     """Read a JSON-array or JSON-lines corpus file (auto-detected).
 
     JSON lines are split at line feeds alone, since a JSON string may hold
-    other line separators (U+2028, U+0085) unescaped. An error names the
-    line's number in the file, blank lines counted.
+    other line separators (U+2028, U+0085) unescaped; a single object is one
+    such line. An error names the line's number in the file, blank lines
+    counted.
     """
     text = read_text(path)
     stripped = text.strip()
@@ -382,12 +383,6 @@ def read_objects(path: str | Path) -> list[dict]:
         raise SchemaError(0, None, "file is empty")
     if stripped.startswith("["):
         return read_json(path, text)  # unstripped, so an error's line number is the file's
-    try:
-        single = json.loads(stripped)
-    except json.JSONDecodeError:
-        single = None
-    if isinstance(single, dict):
-        return [single]
     objects = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():

@@ -32,6 +32,7 @@ from .llm import (
     complete,
     fan_out,
     make_backend,
+    normalize_label,
 )
 from .metrics import EVAL_LABELS, EmptyInput, EvalReport, evaluate
 from .prompts import PromptTemplate, load_templates, render
@@ -206,7 +207,7 @@ def run_experiment(
         prompt_text = render(template, context, record.speaker, sentence)
         request = CompletionRequest(model=spec.model, prompt=prompt_text, temperature=0.0, max_tokens=16)
         completion = complete(request, backend, cache=cache, retry=retry)
-        label = completion.normalized_label
+        label = normalize_label(completion.raw_text)
         return PredictionEvent(
             id=record.id.raw,
             fingerprint=request.fingerprint,

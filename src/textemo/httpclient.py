@@ -34,9 +34,9 @@ _MAX_BODY = 4 << 20
 
 class Connection:
     """One keep-alive HTTP/1.1 connection (RFC 9112) that POSTs to ``url``,
-    the endpoint as given. ``host`` and ``target`` are its ``Host`` header
-    and request target, and ``headers`` the ones after ``Content-Length``,
-    in order; the caller has checked the URL and them for control characters.
+    the endpoint as given, with ``headers`` after ``Content-Length``, in
+    order; the caller has checked the URL and them for control characters.
+    The ``Host`` header and the request target come from the URL.
 
     Making one reads the proxy from the environment (``http_proxy``,
     ``https_proxy``, ``all_proxy``, ``no_proxy``) and builds the request
@@ -64,8 +64,12 @@ class Connection:
     ValueError for a framing error or a body over the cap.
     """
 
-    def __init__(self, url: str, host: str, target: str, headers: dict[str, str], timeout: float):
+    def __init__(self, url: str, headers: dict[str, str], timeout: float):
         endpoint = urlsplit(url)
+        target = (endpoint.path or "/") + (f"?{endpoint.query}" if endpoint.query else "")
+        host = f"[{endpoint.hostname}]" if ":" in endpoint.hostname else endpoint.hostname
+        if endpoint.port not in (None, 443 if endpoint.scheme == "https" else 80):
+            host += f":{endpoint.port}"
         address = (endpoint.hostname, endpoint.port)
         tunnel = None
         proxies = getproxies()

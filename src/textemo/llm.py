@@ -5,8 +5,8 @@ the request fan-out shared by every batch pass.
 Requests are fingerprinted by a SHA-256 over (model, prompt, temperature,
 max_tokens). The cache is one append-only JSON-lines log per directory that
 maps each fingerprint to the backend's raw response text, so interrupted
-batch runs resume without repeating calls. The label is derived from the raw
-text on every lookup, hit or miss. A line that does not decode, or whose
+batch runs resume without repeating calls; the run that scores a reply derives
+its label from the raw text. A line that does not decode, or whose
 ``raw_text`` is not a string, is skipped and its request recomputed.
 
 Wire format (HTTP backend): a chat-completions POST body
@@ -30,10 +30,10 @@ from contextlib import contextmanager
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-from . import BACKEND_MOCK, DEFAULT_ENDPOINT, log
+from . import BACKEND_MOCK, DEFAULT_ENDPOINT, AuthError, BackendError, log
 from .metrics import EVAL_LABELS
 
 # The order MockBackend indexes by hash: changing it changes every mock prediction.
@@ -56,32 +56,16 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class BackendError(Exception):
-    """Base class for annotator-backend failures; carries the request fingerprint."""
-
-    def __init__(self, message: str, fingerprint: str | None = None):
-        super().__init__(message if fingerprint is None else f"{message} [fingerprint {fingerprint}]")
-        self.fingerprint = fingerprint
-
-
-class AuthError(BackendError):
-    """Authentication/authorization failure; never retried."""
-
-
-class RateLimited(BackendError):
-    """Rate-limit response for a single attempt; retried after ``retry_after``
-    seconds when the server named a delay, else with backoff."""
+class TransportError(BackendError):
+    """Network, server or rate-limit failure for a single attempt; retried
+    after ``retry_after`` seconds when a 429 named a delay, else with backoff."""
 
     def __init__(self, message: str, fingerprint: str | None = None, retry_after: float | None = None):
         super().__init__(message, fingerprint)
         self.retry_after = retry_after
 
 
-class TransportError(BackendError):
-    """Network or server failure for a single attempt; retried with backoff."""
-
-
-class BadRequest(TransportError):
+class BadRequest(BackendError):
     """A 4xx response that repeating the same request cannot fix; never retried."""
 
 
@@ -121,10 +105,9 @@ def _fingerprint_frame(model: str, temperature: float, max_tokens: int) -> tuple
 
 
 class Completion(NamedTuple):
-    """Raw and normalized response to a CompletionRequest."""
+    """The raw response to a CompletionRequest, and whether the cache answered it."""
 
     raw_text: str
-    normalized_label: str | None
     from_cache: bool
 
 
@@ -170,21 +153,15 @@ DEFAULT_RETRY = RetryPolicy()
 class MockBackend:
     """Deterministic stand-in for the HTTP backend.
 
-    Without a fixture map, every request gets a label chosen uniformly from
-    the prediction set by hashing (seed, fingerprint), so runs are identical
-    across processes. A fixture map of fingerprint -> raw response overrides
-    specific requests.
+    Every request gets a label chosen uniformly from the prediction set by
+    hashing (seed, fingerprint), so runs are identical across processes.
     """
 
-    def __init__(self, seed: int = 0, responses: Mapping[str, str] | None = None):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.responses = dict(responses or {})
 
     def send(self, request: CompletionRequest) -> str:
-        fp = request.fingerprint
-        if fp in self.responses:
-            return self.responses[fp]
-        digest = hashlib.sha256(f"{self.seed}:{fp}".encode("utf-8")).digest()
+        digest = hashlib.sha256(f"{self.seed}:{request.fingerprint}".encode("utf-8")).digest()
         return MOCK_LABEL_ORDER[digest[0] % len(MOCK_LABEL_ORDER)]
 
 
@@ -214,11 +191,8 @@ class HttpBackend:
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint {endpoint!r} is not an http or https URL")
+        url.port  # a malformed port is a ValueError here, not on the first request
         self.endpoint = endpoint
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
-        if url.port not in (None, 443 if url.scheme == "https" else 80):
-            self._host += f":{url.port}"
         self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         # the whole URL that a request line can carry: user info too, in an absolute-form request to a proxy
         request_url = url._replace(fragment="").geturl()
@@ -239,7 +213,7 @@ class HttpBackend:
         if conn is None:
             from .httpclient import Connection
 
-            conn = self._local.conn = Connection(self.endpoint, self._host, self._target, self._headers, self._timeout)
+            conn = self._local.conn = Connection(self.endpoint, self._headers, self._timeout)
         try:
             status, headers, data = conn.post(payload)
         except (OSError, ValueError) as exc:
@@ -250,7 +224,7 @@ class HttpBackend:
         if status == 429:
             retry_after = headers.get("retry-after", "").strip()
             delay = float(retry_after) if _DIGITS_RE.fullmatch(retry_after) else None
-            raise RateLimited("rate limited (HTTP 429)", request.fingerprint, retry_after=delay)
+            raise TransportError("rate limited (HTTP 429)", request.fingerprint, retry_after=delay)
         if status != 200:
             text = data.decode("utf-8", "replace")[:200]
             if 400 <= status < 500 and status != 408:
@@ -360,13 +334,13 @@ def complete(
 ) -> Completion:
     """Resolve a request through the cache, then the backend with retries.
 
-    AuthError and BadRequest propagate after one attempt; RateLimited and
-    other TransportErrors are retried with exponential backoff and raise
-    BackendExhausted once the attempt budget is spent. Successful responses
-    are cached before return, without a cache in a map for this call alone.
-    One thread at a time sends a fingerprint: a duplicate request waits and
-    then hits, or, when the first one failed, tries for itself. The label is
-    normalized from the raw text on a hit and on a miss alike.
+    A TransportError, a 429 included, is retried with exponential backoff,
+    and BackendExhausted is raised once the attempt budget is spent; any
+    other BackendError, such as AuthError or BadRequest, propagates after one
+    attempt. Successful responses are cached before return, without a cache
+    in a map for this call alone. One thread at a time sends a fingerprint: a
+    duplicate request waits and then hits, or, when the first one failed,
+    tries for itself.
     """
     fp = request.fingerprint
     if cache is None:
@@ -381,7 +355,7 @@ def complete(
             if not from_cache:
                 raw = _send_with_retries(request, fp, backend, retry)
                 cache.store(fp, raw)
-    return Completion(raw_text=raw, normalized_label=normalize_label(raw), from_cache=from_cache)
+    return Completion(raw_text=raw, from_cache=from_cache)
 
 
 def _send_with_retries(request: CompletionRequest, fp: str, backend: Backend, retry: RetryPolicy) -> str:
@@ -389,20 +363,18 @@ def _send_with_retries(request: CompletionRequest, fp: str, backend: Backend, re
     for attempt in range(1, retry.attempts + 1):
         try:
             raw = backend.send(request)
-        except BadRequest:
-            raise
-        except (RateLimited, TransportError) as exc:
+        except TransportError as exc:
             last_error = exc
             log(__name__, "warning", "attempt %d/%d failed: %s", attempt, retry.attempts, exc)
             if attempt < retry.attempts:
-                retry.sleep(retry.delay(attempt, exc.retry_after if isinstance(exc, RateLimited) else None))
+                retry.sleep(retry.delay(attempt, exc.retry_after))
             continue
         return raw
     raise BackendExhausted(f"gave up after {retry.attempts} attempts: {last_error}", fp)
 
 
 def fan_out(fn: Callable[[T], R], items: Sequence[T], concurrency: int) -> list[R | BackendError]:
-    """fn over items on up to ``concurrency`` threads (on the calling thread at 1), in input order.
+    """fn over items on up to ``concurrency`` worker threads, results in input order.
 
     Each worker thread takes the next index from a shared iterator and writes
     its result into that slot. A BackendError takes its item's place in the
@@ -411,17 +383,6 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T], concurrency: int) -> list[
     finish, the failure of the lowest-index item propagates. An exception in
     the caller while it waits, such as an interrupt, stops them the same way.
     """
-
-    def one(item: T) -> R | BackendError:
-        try:
-            return fn(item)
-        except AuthError:
-            raise
-        except BackendError as exc:
-            return exc
-
-    if concurrency <= 1 or len(items) <= 1:
-        return [one(item) for item in items]
     results: list = [None] * len(items)
     failures: dict[int, BaseException] = {}
     indices = iter(range(len(items)))
@@ -435,10 +396,13 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T], concurrency: int) -> list[
             if i is None:
                 return
             try:
-                results[i] = one(items[i])
-            except BaseException as exc:  # raised again on the calling thread
-                failures[i] = exc
-                stop.set()
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                if isinstance(exc, BackendError) and not isinstance(exc, AuthError):
+                    results[i] = exc
+                else:  # raised again on the calling thread
+                    failures[i] = exc
+                    stop.set()
 
     threads = [threading.Thread(target=work) for _ in range(min(concurrency, len(items)))]
     try:

@@ -2,7 +2,8 @@
 
 Unweighted accuracy (UA) is macro-averaged recall over the four target
 classes, the metric the challenge reports; plain accuracy is the trace of the
-confusion matrix over n_scored. Truth labels outside the target set are
+confusion matrix over n_scored. A truth label maps to its class by
+``emotion_class``, as in the WER report; one outside the target set is
 excluded from scoring but counted.
 """
 
@@ -11,10 +12,19 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import log
+from .corpus import is_blank
 
 EVAL_LABELS = ("neutral", "sad", "happy", "angry")
 
 UA_MACRO_RECALL = "macro-recall"  # named in the eval file and the table
+
+
+def emotion_class(label: str | None) -> str | None:
+    """Map an emotion label to a report class; None when the label is missing or blank."""
+    if is_blank(label):
+        return None
+    lowered = label.strip().lower()
+    return lowered if lowered in EVAL_LABELS else "other"
 
 
 class EmptyInput(ValueError):
@@ -60,7 +70,7 @@ def evaluate(pairs: list[tuple[str | None, str]]) -> EvalReport:
     for truth, prediction in pairs:
         if prediction not in pos:
             raise ValueError(f"prediction {prediction!r} outside the 4-class label set")
-        truth_key = truth.strip().lower() if truth is not None else None
+        truth_key = emotion_class(truth)
         if truth_key not in pos:
             n_excluded += 1
             continue

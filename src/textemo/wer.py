@@ -21,8 +21,8 @@ import io
 import re
 from typing import NamedTuple, Sequence
 
-from .corpus import Corpus, is_blank
-from .metrics import EVAL_LABELS
+from .corpus import Corpus
+from .metrics import EVAL_LABELS, emotion_class
 
 # Emotion classes of the aggregate report: the 4 target labels, a catch-all
 # for every other label, and the all-classes roll-up.
@@ -235,14 +235,6 @@ class WerReport(NamedTuple):
         counts = "".join(f"{self.class_counts.get(c, 0):>10}" for c in REPORT_CLASSES)
         lines.append(f"{'utterances':<{width}}" + counts)
         return "\n".join(lines)
-
-
-def emotion_class(label: str | None) -> str | None:
-    """Map an emotion label to a report class; None when the label is missing or blank."""
-    if is_blank(label):
-        return None
-    lowered = label.strip().lower()
-    return lowered if lowered in EVAL_LABELS else "other"
 
 
 def wer_report(corpus: Corpus) -> WerReport:

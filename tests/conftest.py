@@ -108,6 +108,17 @@ def worked_example_corpus():
     return build_corpus(objects)
 
 
+class ScriptedBackend:
+    """A backend whose replies the test writes: by request fingerprint from a
+    map, or one fixed text for every request."""
+
+    def __init__(self, replies: dict[str, str] | str):
+        self.replies = replies
+
+    def send(self, request) -> str:
+        return self.replies if isinstance(self.replies, str) else self.replies[request.fingerprint]
+
+
 PROXY_ENV_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 
 

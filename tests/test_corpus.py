@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -260,9 +261,15 @@ class TestLoadCorpus:
         path.write_text("[]", encoding="utf-8")
         assert len(load_corpus(path).records) == 0
 
-    def test_pretty_printed_single_object(self, tmp_path):
+    def test_a_pretty_printed_single_object_is_an_error_naming_line_1(self, tmp_path):
         path = tmp_path / "one.json"
         path.write_text(json.dumps(make_entry("Ses01F_01_F000"), indent=2) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 1 is not valid JSON"):
+            load_corpus(path)
+
+    def test_single_object_on_one_line_loads_as_json_lines(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(make_entry("Ses01F_01_F000")) + "\n", encoding="utf-8")
         assert [rec.id.raw for rec in load_corpus(path).records] == ["Ses01F_01_F000"]
 
     def test_json_lines_autodetect(self, tmp_path):

@@ -21,7 +21,7 @@ from textemo.fixtures import generate_corpus
 from textemo.llm import CompletionCache, CompletionRequest, MockBackend, RetryPolicy, TransportError
 from textemo.prompts import load_templates, render
 
-from conftest import make_entry
+from conftest import ScriptedBackend, make_entry
 
 
 @pytest.fixture
@@ -148,15 +148,12 @@ class TestRunExperiment:
     def test_each_request_is_hashed_once(self, small_corpus, tmp_path, monkeypatch):
         import hashlib
 
-        class Constant:  # hashes nothing itself, unlike MockBackend
-            def send(self, request):
-                return "sad"
-
         sha256 = hashlib.sha256
         calls = []
         monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(1) or sha256(*args))
         cache = CompletionCache(tmp_path / "cache")
-        result = run_experiment(mock_spec(), small_corpus, Constant(), cache=cache, concurrency=1)
+        backend = ScriptedBackend("sad")  # hashes nothing itself, unlike MockBackend
+        result = run_experiment(mock_spec(), small_corpus, backend, cache=cache, concurrency=1)
         assert result.predictions and not result.failures
         assert len(calls) == len(result.predictions)
 

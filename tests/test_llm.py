@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -23,7 +24,6 @@ from textemo.llm import (
     CompletionCache,
     CompletionRequest,
     MockBackend,
-    RateLimited,
     RetryPolicy,
     TransportError,
     complete,
@@ -31,7 +31,7 @@ from textemo.llm import (
     normalize_label,
 )
 
-from conftest import Reply, chat_body
+from conftest import Reply, ScriptedBackend, chat_body
 
 SAD = json.dumps(chat_body("sad")).encode("utf-8")
 
@@ -131,13 +131,6 @@ class TestNormalizeLabel:
 
 
 class TestMockBackend:
-    def test_scripted_map(self):
-        request = fixture_request()
-        backend = MockBackend(responses={request.fingerprint: "sad"})
-        completion = complete(request, backend)
-        assert completion.raw_text == "sad"
-        assert completion.normalized_label == "sad"
-
     def test_deterministic_per_seed_and_fingerprint(self):
         request = fixture_request()
         assert MockBackend(seed=3).send(request) == MockBackend(seed=3).send(request)
@@ -183,7 +176,7 @@ class TestCache:
     def test_complete_uses_cache(self, tmp_path):
         cache = CompletionCache(tmp_path)
         request = fixture_request()
-        backend = MockBackend(responses={request.fingerprint: "neutral"})
+        backend = ScriptedBackend({request.fingerprint: "neutral"})
         first = complete(request, backend, cache=cache)
         second = complete(request, backend, cache=cache)
         assert first.from_cache is False
@@ -193,8 +186,8 @@ class TestCache:
     def test_cached_result_wins_over_backend_change(self, tmp_path):
         cache = CompletionCache(tmp_path)
         request = fixture_request()
-        complete(request, MockBackend(responses={request.fingerprint: "happy"}), cache=cache)
-        answer = complete(request, MockBackend(responses={request.fingerprint: "angry"}), cache=cache)
+        complete(request, ScriptedBackend({request.fingerprint: "happy"}), cache=cache)
+        answer = complete(request, ScriptedBackend({request.fingerprint: "angry"}), cache=cache)
         assert answer.raw_text == "happy"
 
     @pytest.mark.parametrize(
@@ -215,7 +208,7 @@ class TestCache:
     )
     def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, caplog, blob):
         request = fixture_request()
-        backend = MockBackend(responses={request.fingerprint: "sad"})
+        backend = ScriptedBackend({request.fingerprint: "sad"})
         torn = blob == TORN_LINE
         line = blob if torn else blob + "\n"
         (tmp_path / "completions.jsonl").write_bytes(line.encode("utf-8", errors="surrogateescape"))
@@ -255,9 +248,9 @@ class TestCache:
             "raw_text": "Sad.",
         }
         (tmp_path / "completions.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
-        backend = MockBackend(responses={request.fingerprint: "angry"})
+        backend = ScriptedBackend({request.fingerprint: "angry"})
         completion = complete(request, backend, cache=CompletionCache(tmp_path))
-        assert (completion.raw_text, completion.normalized_label, completion.from_cache) == ("Sad.", "sad", True)
+        assert (completion.raw_text, normalize_label(completion.raw_text), completion.from_cache) == ("Sad.", "sad", True)
 
     def test_store_writes_only_the_entry_files(self, tmp_path):
         cache = CompletionCache(tmp_path)
@@ -363,7 +356,7 @@ class TestCache:
         leftover.write_text(json.dumps({"fingerprint": request.fingerprint, "raw_text": "happy"}), encoding="utf-8")
         cache = CompletionCache(tmp_path)
         assert cache.load(request.fingerprint) is None
-        assert complete(request, MockBackend(responses={request.fingerprint: "sad"}), cache=cache).raw_text == "sad"
+        assert complete(request, ScriptedBackend({request.fingerprint: "sad"}), cache=cache).raw_text == "sad"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["completions.jsonl", leftover.name])
 
 
@@ -420,9 +413,16 @@ class TestFanOut:
         assert fan_out(record, list(range(40)), concurrency) == list(range(40))
         assert 1 <= len(idents) <= concurrency
 
-    def test_concurrency_one_runs_on_the_calling_thread(self):
-        idents = fan_out(lambda n: threading.get_ident(), list(range(5)), 1)
-        assert idents == [threading.get_ident()] * 5
+    def test_concurrency_one_runs_every_item_on_one_worker_thread_in_input_order(self):
+        order = []
+
+        def record(n):
+            order.append(n)
+            return threading.get_ident()
+
+        idents = fan_out(record, list(range(5)), 1)
+        assert order == list(range(5))
+        assert len(set(idents)) == 1 and idents[0] != threading.get_ident()
 
     def test_every_item_runs_once_under_contention(self):
         calls = Counter()
@@ -495,9 +495,11 @@ class TestRetry:
         assert excinfo.value.fingerprint == fixture_request().fingerprint
 
     def test_rate_limit_also_retries(self):
-        backend = FlakyBackend(failures=1, exc_type=RateLimited, answer="angry")
-        completion = complete(fixture_request(), backend, retry=no_sleep_policy())
+        backend = FlakyBackend(failures=1, exc_type=functools.partial(TransportError, retry_after=2.0), answer="angry")
+        sleeps: list[float] = []
+        completion = complete(fixture_request(), backend, retry=RetryPolicy(sleep=sleeps.append))
         assert completion.raw_text == "angry"
+        assert sleeps == [2.0]
 
     def test_backoff_delays_grow_exponentially(self):
         sleeps: list[float] = []
@@ -560,9 +562,8 @@ class TestHttpBackend:
         [
             (401, AuthError),
             (403, AuthError),
-            (429, RateLimited),
+            (429, TransportError),
             (500, TransportError),
-            (400, TransportError),
             (400, BadRequest),
             (404, BadRequest),
             (422, BadRequest),
@@ -650,7 +651,7 @@ class TestHttpBackend:
 
         loopback.script(Reply(429, body="slow down", headers={"Retry-After": "3"}))
         backend = HttpBackend(endpoint=loopback.url(), api_key="k")
-        with pytest.raises(RateLimited) as excinfo:
+        with pytest.raises(TransportError, match="rate limited") as excinfo:
             backend.send(fixture_request())
         assert excinfo.value.retry_after == 3.0
         loopback.script(Reply(429, body="slow down", headers={"Retry-After": "3"}))

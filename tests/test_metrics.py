@@ -9,6 +9,7 @@ from textemo.llm import CompletionRequest, MockBackend, normalize_label
 from textemo.metrics import (
     EVAL_LABELS,
     EmptyInput,
+    emotion_class,
     evaluate,
 )
 
@@ -55,6 +56,14 @@ class TestEvaluate:
         report = evaluate([(" Sad ", "sad")])
         assert report.n_scored == 1
         assert report.ua == 1.0
+
+    @pytest.mark.parametrize("truth", [None, "", "   ", " SAD ", "Frustration", *EVAL_LABELS])
+    def test_a_truth_label_is_kept_exactly_when_its_class_is_a_target(self, truth):
+        report = evaluate([(truth, "angry"), ("sad", "sad")])
+        kept = emotion_class(truth) in EVAL_LABELS
+        assert (report.n_scored, report.n_excluded) == ((2, 0) if kept else (1, 1))
+        if kept:
+            assert report.confusion[EVAL_LABELS.index(emotion_class(truth))][EVAL_LABELS.index("angry")] == 1
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):

@@ -17,6 +17,8 @@ from textemo.refine import (
 from textemo.corpus import build_corpus, is_blank, record_from_object
 from textemo.fixtures import generate_corpus
 
+from conftest import ScriptedBackend
+
 WHISPER_MODELS = {"whisperbase", "whisperlarge", "whispermedium", "whispersmall", "whispertiny"}
 
 # Longest surviving candidate of the sample entry, verified by character
@@ -104,7 +106,7 @@ class TestRefineRecord:
         request = CompletionRequest(
             model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), temperature=0.0, max_tokens=128
         )
-        backend = MockBackend(responses={request.fingerprint: candidates[0][1]})
+        backend = ScriptedBackend({request.fingerprint: candidates[0][1]})
         outcome = refine_record(sample_record, cfg, backend=backend)
         assert outcome.chosen == candidates[0][1]
         assert outcome.chosen_source == SOURCE_LLM
@@ -115,7 +117,7 @@ class TestRefineRecord:
         request = CompletionRequest(
             model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), temperature=0.0, max_tokens=128
         )
-        backend = MockBackend(responses={request.fingerprint: "  " + candidates[1][1].upper() + " \n"})
+        backend = ScriptedBackend({request.fingerprint: "  " + candidates[1][1].upper() + " \n"})
         outcome = refine_record(sample_record, cfg, backend=backend)
         # chosen is the candidate text itself, not the response
         assert outcome.chosen == candidates[1][1]
@@ -127,7 +129,7 @@ class TestRefineRecord:
         request = CompletionRequest(
             model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), temperature=0.0, max_tokens=128
         )
-        backend = MockBackend(responses={request.fingerprint: "I pick option 2."})
+        backend = ScriptedBackend({request.fingerprint: "I pick option 2."})
         outcome = refine_record(sample_record, cfg, backend=backend)
         assert outcome.chosen == SAMPLE_LONGEST
         assert outcome.chosen_source == SOURCE_LONGEST
