@@ -114,7 +114,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     outcomes = fan_out(
         lambda record: refine_mod.refine_record(record, cfg, backend=backend, cache=cache, llm_model=args.model),
         corpus.records,
-        args.concurrency if cfg.selector == "llm" else 1,
+        args.concurrency,
     )
     unrefined: dict[str, str] = {}  # id -> why its selection failed
     sources: Counter[str] = Counter()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .corpus import CONTEXT_MODES, ENSEMBLE_KEY, MODE_SCRIPT, Corpus, UtteranceRecord, is_blank
+from .corpus import CONTEXT_MODES, ENSEMBLE_KEY, MODE_SCRIPT, Corpus, UtteranceRecord, is_blank, select_longest
 
 EMPTY_CONTEXT = "(no prior context)"
 
@@ -48,7 +48,8 @@ def resolve_text(record: UtteranceRecord, text_source: str) -> str:
 
 
 def _longest_transcription(record: UtteranceRecord) -> str:
-    return max((t for t in record.transcriptions.values() if not is_blank(t)), key=len, default="")
+    texts = [(m, t) for m, t in record.transcriptions.items() if not is_blank(t)]
+    return select_longest(texts)[1] if texts else ""
 
 
 def check_text_source(corpus: Corpus, text_source: str) -> None:

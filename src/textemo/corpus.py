@@ -263,6 +263,13 @@ def is_blank(text: str | None) -> bool:
     return not text or text.isspace()
 
 
+def select_longest(candidates: list[tuple[str, str]]) -> tuple[str, str]:
+    """The (model, text) candidate with the most characters; a tie goes to the first model name."""
+    if not candidates:
+        raise ValueError("no candidates to select from")
+    return min(candidates, key=lambda mt: (-len(mt[1]), mt[0]))
+
+
 def _parse_need_prediction(value: object, position: int) -> bool:
     # Curated files use "yes"/"no" strings; plain booleans are accepted too.
     # A missing flag means the record is context-only.
@@ -350,10 +357,11 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path, text: str | None = None):
-    """A JSON file's value (from `text` if already read); bad JSON is a ValueError led by the path."""
+    """A JSON file's value (from `text` if already read); bad or too deeply
+    nested JSON is a ValueError led by the path."""
     try:
         return json.loads(read_text(path) if text is None else text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -365,8 +373,12 @@ def write_json(path: str | Path, value) -> Path:
 
 
 def write_corpus(objects: list[dict], path: str | Path) -> None:
-    """Write corpus objects as a JSON array that read_objects reads back, keys in their given order."""
-    Path(path).write_text(json.dumps(objects, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    """Write corpus objects as a JSON array that read_objects reads back, keys in their given order.
+
+    The text is encoded before the file is opened, so a text that UTF-8
+    cannot hold (a lone surrogate) is a ValueError that leaves the file as it was.
+    """
+    Path(path).write_bytes((json.dumps(objects, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def read_objects(path: str | Path) -> list[dict]:
@@ -389,7 +401,7 @@ def read_objects(path: str | Path) -> list[dict]:
             continue
         try:
             objects.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
     return objects
 

@@ -26,11 +26,10 @@ import re
 import threading
 import time
 import weakref
-from contextlib import contextmanager
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
 from . import BACKEND_MOCK, DEFAULT_ENDPOINT, AuthError, BackendError, log
@@ -235,7 +234,7 @@ class HttpBackend:
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}, not str")
             content.encode("utf-8")  # a lone surrogate, decoded from a "\ud800" escape, cannot be cached
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise TransportError(f"malformed response body: {exc}", request.fingerprint) from exc
         return content
 
@@ -259,15 +258,14 @@ class CompletionCache:
     new line. Each store appends its line in one write and updates
     the in-memory map, so later lookups in the same process hit. Other
     processes see it when they next open the log.
-    Threads sharing the cache claim a fingerprint before sending it, so one
-    of them sends it and the others wait for its answer. Without a
+    Threads sharing the cache take a fingerprint's lock before sending it,
+    so one of them sends it and the others wait for its answer. Without a
     directory, the map lives in memory only and ``path`` is None.
     """
 
     def __init__(self, directory: str | Path | None):
         self._entries: dict[str, str] = {}
-        self._claimed: set[str] = set()
-        self._claims_changed = threading.Condition()
+        self._locks: dict[str, threading.Lock] = {}  # fingerprint -> the lock its sender holds
         self._fd: int | None = None  # the log's append descriptor, opened by the first store
         self._append_lock = threading.Lock()
         self.path: Path | None = None if directory is None else Path(directory) / "completions.jsonl"
@@ -285,7 +283,7 @@ class CompletionCache:
                 if not isinstance(raw_text, str):
                     raise TypeError(f"raw_text is {type(raw_text).__name__}, not str")
                 self._entries[data["fingerprint"]] = raw_text
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 log(__name__, "warning", "corrupt cache line %s:%d skipped: %r", self.path, lineno, exc)
 
     def load(self, fingerprint: str) -> str | None:
@@ -311,20 +309,6 @@ class CompletionCache:
                         data = b"\n" + data
             os.write(self._fd, data)
 
-    @contextmanager
-    def claim(self, fingerprint: str) -> Iterator[None]:
-        """Hold ``fingerprint`` for the block; a thread claiming it meanwhile waits until the block ends."""
-        with self._claims_changed:
-            while fingerprint in self._claimed:
-                self._claims_changed.wait()
-            self._claimed.add(fingerprint)
-        try:
-            yield
-        finally:
-            with self._claims_changed:
-                self._claimed.discard(fingerprint)
-                self._claims_changed.notify_all()
-
 
 def complete(
     request: CompletionRequest,
@@ -338,23 +322,20 @@ def complete(
     and BackendExhausted is raised once the attempt budget is spent; any
     other BackendError, such as AuthError or BadRequest, propagates after one
     attempt. Successful responses are cached before return, without a cache
-    in a map for this call alone. One thread at a time sends a fingerprint: a
-    duplicate request waits and then hits, or, when the first one failed,
-    tries for itself.
+    in a map for this call alone. A fingerprint's lock is held from the
+    look-up to the store, so one thread at a time sends it: a duplicate
+    request waits and then hits, or, when the first one failed, tries for
+    itself.
     """
     fp = request.fingerprint
     if cache is None:
         cache = CompletionCache(None)
-    raw = cache.load(fp)
-    from_cache = raw is not None
-    if not from_cache:
-        with cache.claim(fp):
-            # looked up again: the thread that held the claim may have stored it
-            raw = cache.load(fp)
-            from_cache = raw is not None
-            if not from_cache:
-                raw = _send_with_retries(request, fp, backend, retry)
-                cache.store(fp, raw)
+    with cache._locks.setdefault(fp, threading.Lock()):  # atomic: a str key has no Python-level __eq__
+        raw = cache.load(fp)
+        from_cache = raw is not None
+        if not from_cache:
+            raw = _send_with_retries(request, fp, backend, retry)
+            cache.store(fp, raw)
     return Completion(raw_text=raw, from_cache=from_cache)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import DEFAULT_MODEL
-from .corpus import UtteranceRecord, is_blank
+from .corpus import UtteranceRecord, is_blank, select_longest
 from .llm import Backend, CompletionCache, CompletionRequest, complete
 
 SELECTION_INSTRUCTION = (
@@ -63,33 +63,14 @@ def _length(text: str, unit: str) -> int:
     return len(text) if unit == "characters" else len(text.split())
 
 
-def _nonblank(record: UtteranceRecord) -> list[tuple[str, str]]:
-    """The record's transcriptions that are not blank (empty or whitespace
-    only); all of them when every one is blank."""
-    texts = [(m, t) for m, t in record.transcriptions.items() if not is_blank(t)]
-    return texts if texts else list(record.transcriptions.items())
-
-
 def filter_transcriptions(record: UtteranceRecord, cfg: RefinementConfig) -> list[tuple[str, str]]:
     """Keep non-blank candidates strictly longer than min_length; if none
     survive, return every non-blank candidate (every candidate when all are
     blank), in record insertion order.
     """
-    return _filter(record, cfg)[0]
-
-
-def _filter(record: UtteranceRecord, cfg: RefinementConfig) -> tuple[list[tuple[str, str]], bool]:
-    """filter_transcriptions' candidates, and whether none passed the length filter."""
-    nonblank = _nonblank(record)
-    kept = [(m, t) for m, t in nonblank if _length(t, cfg.length_unit) > cfg.min_length]
-    return (kept, False) if kept else (nonblank, True)
-
-
-def select_longest(candidates: list[tuple[str, str]]) -> tuple[str, str]:
-    """Candidate with the maximum character count; ties broken by model name."""
-    if not candidates:
-        raise ValueError("no candidates to select from")
-    return min(candidates, key=lambda mt: (-len(mt[1]), mt[0]))
+    items = record.transcriptions.items()
+    nonblank = [(m, t) for m, t in items if not is_blank(t)] or list(items)
+    return [(m, t) for m, t in nonblank if _length(t, cfg.length_unit) > cfg.min_length] or nonblank
 
 
 def build_refine_prompt(candidates: list[tuple[str, str]]) -> str:
@@ -118,11 +99,7 @@ def refine_record(
     candidate. BackendError propagates once retries are exhausted and the
     record is left unrefined.
     """
-    candidates, all_short = _filter(record, cfg)
-
-    chosen: tuple[str, str] | None = None
-    source = SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
-
+    candidates = filter_transcriptions(record, cfg)
     if cfg.selector == "llm":
         if backend is None:
             raise ValueError("llm selector requires a backend")
@@ -133,13 +110,11 @@ def refine_record(
             max_tokens=128,
         )
         wanted = complete(request, backend, cache=cache).raw_text.strip().casefold()
-        for model, text in candidates:
+        for _, text in candidates:
             if text.strip().casefold() == wanted:
-                chosen = (model, text)
-                source = SOURCE_LLM
-                break
-
-    if chosen is None:
-        chosen = select_longest(candidates)
-
-    return RefinementOutcome(chosen=chosen[1], chosen_source=source)
+                return RefinementOutcome(chosen=text, chosen_source=SOURCE_LLM)
+    # the filter keeps only long candidates or every one, so the first tells which
+    all_short = _length(candidates[0][1], cfg.length_unit) <= cfg.min_length
+    return RefinementOutcome(
+        chosen=select_longest(candidates)[1], chosen_source=SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
+    )

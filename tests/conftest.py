@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 import time
 from collections import deque
@@ -66,6 +67,18 @@ def sample_entry() -> dict:
 @pytest.fixture
 def sample_record(sample_entry):
     return record_from_object(sample_entry, 0)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """The interpreter's default recursion limit, which a CLI process runs
+    under, for one test. A test earlier in the session may leave it raised,
+    and before Python 3.12 the JSON decoder then overflows the C stack on
+    deeply nested input where it would raise RecursionError."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 @pytest.fixture

@@ -141,6 +141,16 @@ class TestRefine:
         # untouched keys are preserved
         assert refined[0]["Ground truth"] == sample_entry["Ground truth"]
 
+    def test_a_failed_write_leaves_the_output_file_as_it_was(self, tmp_path, sample_entry, capsys):
+        corpus = tmp_path / "x.json"
+        sample_entry["whispertiny"] = "\ud800"  # a lone surrogate: it decodes from an escape but UTF-8 cannot hold it
+        corpus.write_text(json.dumps([sample_entry]), encoding="utf-8")
+        before = corpus.read_bytes()
+        argv = ["refine", "--in", str(corpus), "--out", str(corpus), "--selector", "longest"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+        assert corpus.read_bytes() == before
+
     def test_longest_selector_opens_no_cache(self, tmp_path, fixture_corpus):
         cache = tmp_path / "newcache"
         argv = ["refine", "--in", str(fixture_corpus), "--out", str(tmp_path / "out.json"), "--selector", "longest"]
@@ -738,11 +748,14 @@ class TestByteOrderMark:
 
 class TestUnreadableInput:
     @pytest.mark.parametrize(
-        "content", [b'[{"id": "Ses01F_impro01_F000",', b"\xff\xfe[]"], ids=["truncated-array", "not-utf8"]
+        "content",
+        [b'[{"id": "Ses01F_impro01_F000",', b"\xff\xfe[]", b"[" * 100_000 + b"]" * 100_000],
+        ids=["truncated-array", "not-utf8", "nested-too-deep"],
     )
     @pytest.mark.parametrize(
         "command", ["validate", "wer", "refine", "run", "matrix", "matrix-config", "evaluate"]
     )
+    @pytest.mark.usefixtures("default_recursion_limit")
     def test_is_an_error(self, tmp_path, fixture_corpus, capsys, command, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)

@@ -6,6 +6,7 @@ import pytest
 
 from textemo.context import (
     EMPTY_CONTEXT,
+    ContextTable,
     ContextWindow,
     InvalidTarget,
     UnknownTextSource,
@@ -14,6 +15,7 @@ from textemo.context import (
 )
 from textemo.corpus import Corpus, build_corpus
 from textemo.fixtures import generate_corpus
+from textemo.refine import RefinementConfig, refine_record
 
 from conftest import make_entry
 
@@ -112,6 +114,14 @@ class TestBuildContext:
         corpus = build_corpus(objects)
         window = build_context(corpus, 1, mode="session", length=2, text_source="whispertiny")
         assert window.items[0][1] == "the long transcription here"
+
+    def test_a_fallback_tie_goes_to_the_first_model_name_as_in_refine(self):
+        tied = make_entry("Ses01F_01_F000", models={"whispertiny": "bbb ccc", "hubertlarge": "aaa ddd"})
+        corpus = build_corpus([tied, make_entry("Ses01F_01_F001")])
+        window = build_context(corpus, 1, mode="session", length=1, text_source="ensemble")
+        assert window.items[0][1] == "aaa ddd"
+        assert ContextTable(corpus, "ensemble").texts[0] == "aaa ddd"
+        assert refine_record(corpus.records[0], RefinementConfig(selector="longest_only")).chosen == "aaa ddd"
 
     def test_need_prediction_does_not_gate_context(self):
         objects = [

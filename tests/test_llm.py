@@ -204,8 +204,10 @@ class TestCache:
             pytest.param(f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": null}}', id="raw-text-null"),
             pytest.param(f'{{"fingerprint": "{PINNED_FINGERPRINT}", "raw_text": ["sad"]}}', id="raw-text-list"),
             pytest.param(TORN_LINE, id="torn-last-line"),
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
         ],
     )
+    @pytest.mark.usefixtures("default_recursion_limit")
     def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, caplog, blob):
         request = fixture_request()
         backend = ScriptedBackend({request.fingerprint: "sad"})
@@ -586,6 +588,18 @@ class TestHttpBackend:
         backend = HttpBackend(endpoint=loopback.url(), api_key="k")
         with pytest.raises(BackendExhausted, match="malformed response body: content is"):
             complete(fixture_request(), backend, cache=cache, retry=no_sleep_policy(attempts=2))
+        assert not cache.path.exists()
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_body_nested_too_deeply_is_a_malformed_body(self, loopback, tmp_path):
+        from textemo.llm import HttpBackend
+
+        loopback.script(default=Reply(body="[" * 200_000 + "]" * 200_000))
+        cache = CompletionCache(tmp_path)
+        backend = HttpBackend(endpoint=loopback.url(), api_key="k")
+        with pytest.raises(BackendExhausted, match="malformed response body: maximum recursion depth"):
+            complete(fixture_request(), backend, cache=cache, retry=no_sleep_policy(attempts=2))
+        assert len(loopback.received) == 2
         assert not cache.path.exists()
 
     @pytest.mark.parametrize("status,posts", [(400, 1), (404, 1), (422, 1), (408, 5), (500, 5), (503, 5)])

@@ -172,11 +172,14 @@ class TestRefineRecord:
         [
             RefinementConfig(selector="longest_only"),
             RefinementConfig(selector="longest_only", min_length=3, length_unit="tokens"),
+            RefinementConfig(selector="llm"),
         ],
-        ids=["chars", "tokens-with-min-length-3"],
+        ids=["chars", "tokens-with-min-length-3", "llm-never-matching"],
     )
     def test_all_short_means_no_non_blank_candidate_is_long(self, cfg):
-        """The reference checks every non-blank candidate (every candidate when all are blank)."""
+        """The reference checks every non-blank candidate (every candidate when all are blank).
+        The llm selector's answer matches no candidate, so every record takes the longest path."""
+        backend = ScriptedBackend("no candidate reads like this") if cfg.selector == "llm" else None
         objects = generate_corpus(seed=8, n_records=300, short_rate=0.9)
         for obj in objects[::7]:
             obj["whispertiny"] = " " * 40
@@ -185,7 +188,7 @@ class TestRefineRecord:
             size = len if cfg.length_unit == "characters" else lambda t: len(t.split())
             all_short = all(size(t) <= cfg.min_length for t in texts)
             expected = SOURCE_ALL_SHORT if all_short else SOURCE_LONGEST
-            assert refine_record(record, cfg).chosen_source == expected
+            assert refine_record(record, cfg, backend=backend).chosen_source == expected
 
     def test_chosen_always_a_candidate(self, sample_record):
         # provenance: the selector may not invent text, whatever the response
