@@ -6,11 +6,12 @@ evaluation. See the cli module for the batch entry points.
 
 Names are imported from their stage module (``from textemo.corpus import
 load_corpus``), so ``import textemo`` loads no stage, and a command loads
-only the stages it runs. The backend option values below are the exception:
-every CLI process builds the whole parser, which names them, so they live
-here rather than in ``textemo.llm``, and a command that sends no request
-does not load the backend module. ``BackendError`` and ``AuthError`` live
-here for the same reason: the CLI catches ``AuthError`` by its class.
+only the stages it runs. The backend and request option values below are
+the exception: every CLI process builds the whole parser, which names them,
+so they live here rather than in ``textemo.llm``, and a command that sends
+no request does not load the backend module. ``BackendError`` and
+``AuthError`` live here for the same reason: the CLI catches ``AuthError``
+by its class.
 
 The stages log through ``log`` below, which imports ``logging`` with the
 first record, so a process that prints no warning never loads it.
@@ -24,6 +25,7 @@ BACKEND_MOCK = "mock"  # the default
 BACKEND_KINDS = (BACKEND_HTTP, BACKEND_MOCK)
 DEFAULT_MODEL = "gpt-3.5-turbo"
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
+DEFAULT_CONCURRENCY = 4  # request worker threads (``--concurrency``)
 
 
 class BackendError(Exception):

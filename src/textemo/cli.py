@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING
 # them, in their own bodies, so a process loads only what its subcommand
 # runs: a matrix pass starts one `evaluate` process per row, and start-up is
 # most of each one's time.
-from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL, AuthError, configure_logging
+from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_CONCURRENCY, DEFAULT_ENDPOINT, DEFAULT_MODEL, AuthError
+from . import configure_logging
 from . import corpus as corpus_mod
 
 if TYPE_CHECKING:
@@ -51,7 +52,7 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
 def _add_request_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoint", default=DEFAULT_ENDPOINT, help="chat-completions URL (http backend)")
     parser.add_argument("--cache-dir", default=None, help="completion cache directory")
-    parser.add_argument("--concurrency", type=_at_least_one, default=4)
+    parser.add_argument("--concurrency", type=_at_least_one, default=DEFAULT_CONCURRENCY)
     parser.add_argument("--mock-seed", type=int, default=0)
 
 
@@ -142,7 +143,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .llm import make_backend
 
     corpus = corpus_mod.load_corpus(args.corpus)
-    spec = ExperimentSpec(**{field: getattr(args, field) for field in ExperimentSpec._fields})
+    options = vars(args)  # an option left out is None, and ExperimentSpec gives its default
+    spec = ExperimentSpec(**{field: options[field] for field in ExperimentSpec._fields if options[field] is not None})
     result = run_experiment(
         spec,
         corpus,
@@ -244,12 +246,7 @@ def _check_prediction_entries(predictions: object) -> None:
 def cmd_gen_fixture(args: argparse.Namespace) -> int:
     from . import fixtures
 
-    objects = fixtures.generate_corpus(
-        seed=args.seed,
-        n_records=args.records,
-        need_prediction_rate=args.need_prediction_rate,
-        short_rate=args.short_rate,
-    )
+    objects = fixtures.generate_corpus(seed=args.seed, n_records=args.records)
     corpus_mod.write_corpus(objects, args.out)
     print(f"wrote {len(objects)} record(s) to {args.out}")
     return EXIT_OK
@@ -281,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--name", default="run")
     p.add_argument("--text-source", required=True, help="ASR model name or 'ensemble'")
-    p.add_argument("--prompt", default="baseline")
+    p.add_argument("--prompt", default=None)
     p.add_argument("--template-file", default=None)
-    p.add_argument("--context-length", type=int, default=3)
-    p.add_argument("--context-mode", choices=corpus_mod.CONTEXT_MODES, default=corpus_mod.MODE_SESSION)
+    p.add_argument("--context-length", type=int, default=None)
+    p.add_argument("--context-mode", choices=corpus_mod.CONTEXT_MODES, default=None)
     p.add_argument("--out-dir", default="runs")
     _add_backend_args(p)
     p.set_defaults(func=cmd_run)
@@ -307,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--records", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--need-prediction-rate", type=float, default=0.6)
-    p.add_argument("--short-rate", type=float, default=0.15)
     p.set_defaults(func=cmd_gen_fixture)
 
     return parser

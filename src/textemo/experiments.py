@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_ENDPOINT, DEFAULT_MODEL, log
+from . import BACKEND_KINDS, BACKEND_MOCK, DEFAULT_CONCURRENCY, DEFAULT_ENDPOINT, DEFAULT_MODEL, log
 from .context import ContextTable
 from .corpus import CONTEXT_MODES, MODE_SESSION, Corpus, UtteranceRecord, read_json, write_json
 from .llm import (
@@ -164,7 +164,7 @@ def run_experiment(
     cache: CompletionCache | None = None,
     retry: RetryPolicy = DEFAULT_RETRY,
     templates: Mapping[str, PromptTemplate] | None = None,
-    concurrency: int = 4,
+    concurrency: int = DEFAULT_CONCURRENCY,
 ) -> RunResult:
     """Predict every need_prediction record and evaluate when truth exists.
 
@@ -205,7 +205,7 @@ def run_experiment(
         record, sentence = target
         context = table.context(record.file_position, spec.context_mode, spec.context_length)
         prompt_text = render(template, context, record.speaker, sentence)
-        request = CompletionRequest(model=spec.model, prompt=prompt_text, temperature=0.0, max_tokens=16)
+        request = CompletionRequest(model=spec.model, prompt=prompt_text, max_tokens=16)
         completion = complete(request, backend, cache=cache, retry=retry)
         label = normalize_label(completion.raw_text)
         return PredictionEvent(
@@ -303,7 +303,7 @@ def run_matrix(
     cache: CompletionCache | None = None,
     out_dir: str | Path | None = None,
     template_file: str | Path | None = None,
-    concurrency: int = 4,
+    concurrency: int = DEFAULT_CONCURRENCY,
     mock_seed: int = 0,
     endpoint: str = DEFAULT_ENDPOINT,
 ) -> list[dict]:

@@ -4,7 +4,7 @@ The real challenge dataset is license-restricted, so tests and demos run on
 generated corpora: grammar-valid utterance ids over multi-script sessions,
 ground-truth sentences from a small word bank, per-model corruptions of the
 ground truth (including the deliberately short outputs that the refinement
-filter exists for), and a controllable emotion-label distribution.
+filter exists for), and emotion labels drawn from a fixed distribution.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 from .corpus import KIND_BARE, KIND_IMPRO, KIND_SCRIPT, KNOWN_ASR_MODELS, format_id
 from .corpus import write_corpus  # noqa: F401 - re-exported for callers
 
-DEFAULT_LABEL_WEIGHTS = {
+_LABEL_WEIGHTS = {
     "neutral": 0.22,
     "sad": 0.18,
     "happy": 0.18,
@@ -68,7 +68,6 @@ def _corrupt(rng: random.Random, truth: str, short_rate: float) -> str:
 def generate_corpus(
     seed: int,
     n_records: int,
-    label_weights: dict[str | None, float] | None = None,
     need_prediction_rate: float = 0.6,
     short_rate: float = 0.15,
     models: tuple[str, ...] | None = None,
@@ -86,9 +85,8 @@ def generate_corpus(
         if not 0 <= rate <= 1:
             raise ValueError(f"{name} must be within [0, 1], got {rate}")
     rng = random.Random(seed)
-    weights = label_weights or DEFAULT_LABEL_WEIGHTS
-    labels = list(weights)
-    probs = list(weights.values())
+    labels = list(_LABEL_WEIGHTS)
+    probs = list(_LABEL_WEIGHTS.values())
     model_list = list(models) if models else sorted(KNOWN_ASR_MODELS)
 
     records: list[dict] = []

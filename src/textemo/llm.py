@@ -3,15 +3,16 @@ response-label normalization, content-addressed caching, retry policy, and
 the request fan-out shared by every batch pass.
 
 Requests are fingerprinted by a SHA-256 over (model, prompt, temperature,
-max_tokens). The cache is one append-only JSON-lines log per directory that
-maps each fingerprint to the backend's raw response text, so interrupted
-batch runs resume without repeating calls; the run that scores a reply derives
-its label from the raw text. A line that does not decode, or whose
-``raw_text`` is not a string, is skipped and its request recomputed.
+max_tokens), and every request is sent at ``TEMPERATURE``. The cache is one
+append-only JSON-lines log per directory that maps each fingerprint to the
+backend's raw response text, so interrupted batch runs resume without
+repeating calls; the run that scores a reply derives its label from the raw
+text. A line that does not decode, or whose ``raw_text`` is not a string, is
+skipped and its request recomputed.
 
 Wire format (HTTP backend): a chat-completions POST body
 ``{"model": ..., "messages": [{"role": "user", "content": prompt}],
-"temperature": ..., "max_tokens": ...}`` whose response carries the text at
+"temperature": 0.0, "max_tokens": ...}`` whose response carries the text at
 ``choices[0].message.content``. The API key is read from TEXTEMO_API_KEY,
 falling back to OPENAI_API_KEY.
 """
@@ -39,6 +40,9 @@ from .metrics import EVAL_LABELS
 MOCK_LABEL_ORDER = ("happy", "sad", "neutral", "angry")
 
 API_KEY_ENV_VARS = ("TEXTEMO_API_KEY", "OPENAI_API_KEY")
+
+# The sampling temperature of every request: both LLM steps, selection and annotation, are greedy.
+TEMPERATURE = 0.0
 
 _LABEL_RE = re.compile(rf"\b({'|'.join(EVAL_LABELS)})\b")
 _PUNCT_RE = re.compile(r"[^a-z0-9']+")
@@ -76,14 +80,13 @@ class CompletionRequest:
     """One annotator call, identified by a content hash of its fields,
     computed once. It is read-only, so the hash cannot go stale."""
 
-    __slots__ = ("model", "prompt", "temperature", "max_tokens", "_fingerprint")
+    __slots__ = ("model", "prompt", "max_tokens", "_fingerprint")
 
-    def __init__(self, model: str, prompt: str, temperature: float = 0.0, max_tokens: int = 16):
-        fields = {"model": model, "prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
-        for name, value in fields.items():
+    def __init__(self, model: str, prompt: str, max_tokens: int = 16):
+        for name, value in (("model", model), ("prompt", prompt), ("max_tokens", max_tokens)):
             object.__setattr__(self, name, value)
-        # the canonical JSON of the four fields, with the prompt spelled in its place
-        head, tail = _fingerprint_frame(model, temperature, max_tokens)
+        # the canonical JSON of the three fields and TEMPERATURE, with the prompt spelled in its place
+        head, tail = _fingerprint_frame(model, max_tokens)
         payload = head + encode_basestring_ascii(prompt) + tail
         object.__setattr__(self, "_fingerprint", hashlib.sha256(payload.encode("ascii")).hexdigest())
 
@@ -95,10 +98,10 @@ class CompletionRequest:
         return self._fingerprint
 
 
-@lru_cache(maxsize=64, typed=True)  # typed: a float and an int temperature spell differently
-def _fingerprint_frame(model: str, temperature: float, max_tokens: int) -> tuple[str, str]:
+@lru_cache(maxsize=64)
+def _fingerprint_frame(model: str, max_tokens: int) -> tuple[str, str]:
     """What a fingerprint payload holds before and after its prompt's JSON string."""
-    fields = {"model": model, "prompt": "", "temperature": temperature, "max_tokens": max_tokens}
+    fields = {"model": model, "prompt": "", "temperature": TEMPERATURE, "max_tokens": max_tokens}
     head, tail = _FINGERPRINT_ENCODER.encode(fields).split('"prompt":""')
     return head + '"prompt":', tail
 
@@ -129,21 +132,20 @@ def normalize_label(raw: str) -> str | None:
 
 
 class RetryPolicy(NamedTuple):
-    """Exponential backoff with full jitter: uniform(0, base * factor**n).
+    """Exponential backoff with full jitter: uniform(0, 2**(n-1)) seconds
+    after failed attempt n.
 
-    A delay the server asks for (Retry-After) is used instead, capped at the
-    largest backoff, base * factor**(attempts-1).
+    A delay the server asks for (Retry-After) is used instead, capped at
+    2**(attempts-1) seconds.
     """
 
     attempts: int = 5
-    base: float = 1.0
-    factor: float = 2.0
     sleep: Callable[[float], None] = time.sleep
 
     def delay(self, attempt: int, retry_after: float | None = None) -> float:
         if retry_after is not None:
-            return min(retry_after, self.base * self.factor ** (self.attempts - 1))
-        return random.uniform(0.0, self.base * self.factor ** (attempt - 1))
+            return min(retry_after, 2.0 ** (self.attempts - 1))
+        return random.uniform(0.0, 2.0 ** (attempt - 1))
 
 
 DEFAULT_RETRY = RetryPolicy()
@@ -204,7 +206,7 @@ class HttpBackend:
         body = {
             "model": request.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": request.max_tokens,
         }
         payload = json.dumps(body).encode("utf-8")
@@ -252,26 +254,26 @@ class CompletionCache:
     The log is read once when the cache opens; a line that does not decode,
     or whose ``raw_text`` is not a string, is logged and skipped, so its
     request is a miss. Other keys on a line are ignored. The first store
-    opens the log for appending, and the descriptor stays open until the
-    cache is collected. When the log then ends in a torn line, one that an
-    interrupted store left without its newline, the first store starts on a
-    new line. Each store appends its line in one write and updates
+    makes the directory and opens the log for appending, and the descriptor
+    stays open until the cache is collected. When the log then ends in a
+    torn line, one that an interrupted store left without its newline, the
+    first store starts on a new line. Each store appends its line in one write and updates
     the in-memory map, so later lookups in the same process hit. Other
     processes see it when they next open the log.
     Threads sharing the cache take a fingerprint's lock before sending it,
-    so one of them sends it and the others wait for its answer. Without a
+    so one of them sends it and the others wait for its answer; the lock
+    lasts until the fingerprint is answered, and a hit takes none. Without a
     directory, the map lives in memory only and ``path`` is None.
     """
 
     def __init__(self, directory: str | Path | None):
         self._entries: dict[str, str] = {}
-        self._locks: dict[str, threading.Lock] = {}  # fingerprint -> the lock its sender holds
+        self._locks: dict[str, threading.Lock] = {}  # unanswered fingerprint -> the lock its sender holds
         self._fd: int | None = None  # the log's append descriptor, opened by the first store
         self._append_lock = threading.Lock()
         self.path: Path | None = None if directory is None else Path(directory) / "completions.jsonl"
         if self.path is None:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             blob = self.path.read_bytes()
         except FileNotFoundError:
@@ -299,6 +301,7 @@ class CompletionCache:
         data = (_CACHE_LINE_ENCODER.encode(entry) + "\n").encode("utf-8")
         with self._append_lock:
             if self._fd is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
                 flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
                 self._fd = os.open(self.path, flags, 0o666)
                 weakref.finalize(self, os.close, self._fd)
@@ -322,20 +325,24 @@ def complete(
     and BackendExhausted is raised once the attempt budget is spent; any
     other BackendError, such as AuthError or BadRequest, propagates after one
     attempt. Successful responses are cached before return, without a cache
-    in a map for this call alone. A fingerprint's lock is held from the
-    look-up to the store, so one thread at a time sends it: a duplicate
-    request waits and then hits, or, when the first one failed, tries for
-    itself.
+    in a map for this call alone. A hit takes no lock. A miss takes the
+    fingerprint's lock and looks up again, so one thread at a time sends it:
+    a duplicate request waits and then hits, or, when the first one failed,
+    tries for itself. Once answered, the fingerprint's lock leaves the map.
     """
     fp = request.fingerprint
     if cache is None:
         cache = CompletionCache(None)
+    raw = cache.load(fp)
+    if raw is not None:
+        return Completion(raw_text=raw, from_cache=True)
     with cache._locks.setdefault(fp, threading.Lock()):  # atomic: a str key has no Python-level __eq__
         raw = cache.load(fp)
         from_cache = raw is not None
         if not from_cache:
             raw = _send_with_retries(request, fp, backend, retry)
             cache.store(fp, raw)
+        cache._locks.pop(fp, None)
     return Completion(raw_text=raw, from_cache=from_cache)
 
 

@@ -103,12 +103,7 @@ def refine_record(
     if cfg.selector == "llm":
         if backend is None:
             raise ValueError("llm selector requires a backend")
-        request = CompletionRequest(
-            model=llm_model,
-            prompt=build_refine_prompt(candidates),
-            temperature=0.0,
-            max_tokens=128,
-        )
+        request = CompletionRequest(model=llm_model, prompt=build_refine_prompt(candidates), max_tokens=128)
         wanted = complete(request, backend, cache=cache).raw_text.strip().casefold()
         for _, text in candidates:
             if text.strip().casefold() == wanted:

@@ -69,12 +69,13 @@ def sample_record(sample_entry):
     return record_from_object(sample_entry, 0)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def default_recursion_limit():
     """The interpreter's default recursion limit, which a CLI process runs
-    under, for one test. A test earlier in the session may leave it raised,
-    and before Python 3.12 the JSON decoder then overflows the C stack on
-    deeply nested input where it would raise RecursionError."""
+    under, at the start of every test, and the limit before it restored after.
+    A test may raise it, and before Python 3.12 the JSON decoder then
+    overflows the C stack on deeply nested input where it would raise
+    RecursionError."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield

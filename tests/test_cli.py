@@ -381,6 +381,27 @@ class TestRun:
         warm, mock = (tmp_path / out / "demo.predictions.json" for out in ("warm", "mock"))
         assert warm.read_bytes() == mock.read_bytes()
 
+    @pytest.mark.parametrize("stop", ["template-file", "text-source", "matrix-row"])
+    def test_stopped_by_bad_input_it_makes_no_cache_dir(self, tmp_path, fixture_corpus, stop):
+        (tmp_path / "bad.txt").write_text("garbage\n", encoding="utf-8")
+        (tmp_path / "rows.json").write_text('{"experiments": [{"name": "x", "text_source": "nosuch"}]}')
+        run = ["run", fixture_corpus, "--out-dir", tmp_path / "runs"]
+        argv = {
+            "template-file": run + ["--text-source", "whispertiny", "--template-file", tmp_path / "bad.txt"],
+            "text-source": run + ["--text-source", "nosuch"],
+            "matrix-row": ["matrix", fixture_corpus, "--config", tmp_path / "rows.json"],
+        }[stop]
+        assert main([str(arg) for arg in argv + ["--cache-dir", tmp_path / "cache"]]) == 1
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_cache_dir_that_is_a_file_is_an_io_error(self, tmp_path, fixture_corpus, capsys):
+        (tmp_path / "cache").write_text("", encoding="utf-8")
+        argv = ["run", str(fixture_corpus), "--text-source", "whispertiny", "--out-dir", str(tmp_path / "runs")]
+        assert main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and "Not a directory" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_duplicate_id_is_an_error_and_writes_nothing(self, tmp_path, capsys):
         path, raw, first = corpus_with_repeated_target(tmp_path, copies=1)
         out_dir = tmp_path / "runs"
@@ -703,9 +724,6 @@ class TestGenFixture:
         "option, value, message",
         [
             pytest.param("--records", "-5", "record count must not be negative, got -5", id="negative-records"),
-            pytest.param("--need-prediction-rate", "1.5", "need_prediction_rate must be within [0, 1], got 1.5", id="rate-above-one"),
-            pytest.param("--short-rate", "-1", "short_rate must be within [0, 1], got -1.0", id="negative-rate"),
-            pytest.param("--short-rate", "nan", "short_rate must be within [0, 1], got nan", id="nan-rate"),
         ],
     )
     def test_values_it_cannot_honour_are_errors(self, tmp_path, capsys, option, value, message):
@@ -755,7 +773,6 @@ class TestUnreadableInput:
     @pytest.mark.parametrize(
         "command", ["validate", "wer", "refine", "run", "matrix", "matrix-config", "evaluate"]
     )
-    @pytest.mark.usefixtures("default_recursion_limit")
     def test_is_an_error(self, tmp_path, fixture_corpus, capsys, command, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)

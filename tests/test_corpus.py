@@ -288,7 +288,6 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match=r"line 4 is not valid JSON"):
             load_corpus(path)
 
-    @pytest.mark.usefixtures("default_recursion_limit")
     def test_a_json_line_nested_too_deeply_is_an_error_naming_its_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(make_entry("Ses01F_01_F000")) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")

@@ -33,12 +33,6 @@ class TestGenerateCorpus:
         objects = generate_corpus(seed=3, n_records=80)
         assert parse_records(objects, strict=True)[1] == []
 
-    def test_label_distribution_controllable(self):
-        objects = generate_corpus(
-            seed=4, n_records=120, label_weights={"angry": 1.0}
-        )
-        assert all(obj.get("emotion") == "angry" for obj in objects)
-
     def test_short_outputs_present_for_filter_paths(self):
         objects = generate_corpus(seed=5, n_records=100, short_rate=0.3)
         short = sum(
@@ -67,6 +61,19 @@ class TestGenerateCorpus:
         assert {obj["need_prediction"] for obj in always} == {"yes"}
         assert {obj["need_prediction"] for obj in never} == {"no"}
         assert {obj["whispertiny"] for obj in never} <= {"Yeah", "Hi", "Oh", "Hmm", "Okay"}
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            pytest.param({"need_prediction_rate": 1.5}, "need_prediction_rate must be within [0, 1], got 1.5", id="rate-above-one"),
+            pytest.param({"short_rate": -1.0}, "short_rate must be within [0, 1], got -1.0", id="negative-rate"),
+            pytest.param({"short_rate": float("nan")}, "short_rate must be within [0, 1], got nan", id="nan-rate"),
+        ],
+    )
+    def test_a_rate_outside_zero_to_one_is_an_error(self, rates, message):
+        with pytest.raises(ValueError) as excinfo:
+            generate_corpus(seed=0, n_records=10, **rates)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_raises_once_dialogue_ids_run_out(self, seed):

@@ -41,7 +41,7 @@ PINNED_FINGERPRINT = "99c47ba85b8818943f4d72244a9522ce21301bcb0fdd00dd39b2427c89
 
 
 def fixture_request(prompt: str = "hello") -> CompletionRequest:
-    return CompletionRequest(model="gpt-3.5-turbo", prompt=prompt, temperature=0.0, max_tokens=16)
+    return CompletionRequest(model="gpt-3.5-turbo", prompt=prompt, max_tokens=16)
 
 
 class FlakyBackend:
@@ -76,7 +76,6 @@ class TestFingerprint:
         base = fixture_request().fingerprint
         assert CompletionRequest(model="other", prompt="hello").fingerprint != base
         assert fixture_request("hello!").fingerprint != base
-        assert CompletionRequest(model="gpt-3.5-turbo", prompt="hello", temperature=0.5).fingerprint != base
         assert CompletionRequest(model="gpt-3.5-turbo", prompt="hello", max_tokens=32).fingerprint != base
 
     def test_shape(self):
@@ -95,14 +94,12 @@ class TestFingerprint:
         ["hello", "", "émotion 情绪", 'say "hi"', "back\\slash", "tab\tnl\ncr\r\x00\x1f\x7f", "line\u2028sep", "lone \ud800"],
         ids=["ascii", "empty", "non-ascii", "quote", "backslash", "controls", "u2028", "lone-surrogate"],
     )
-    @pytest.mark.parametrize("temperature", [0.0, 0, 0.7, 1])
     @pytest.mark.parametrize("model, max_tokens", [("gpt-3.5-turbo", 16), ('m"odèl\\', 128)])
-    def test_is_the_sha256_of_the_canonical_json(self, prompt, temperature, model, max_tokens):
-        """The cache and the run log are keyed by these bytes, so they may never drift; an
-        int and a float temperature, equal as numbers, are spelled apart."""
-        fields = {"model": model, "prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
+    def test_is_the_sha256_of_the_canonical_json(self, prompt, model, max_tokens):
+        """The cache and the run log are keyed by these bytes, so they may never drift."""
+        fields = {"model": model, "prompt": prompt, "temperature": 0.0, "max_tokens": max_tokens}
         payload = json.dumps(fields, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-        request = CompletionRequest(model=model, prompt=prompt, temperature=temperature, max_tokens=max_tokens)
+        request = CompletionRequest(model=model, prompt=prompt, max_tokens=max_tokens)
         assert request.fingerprint == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -207,7 +204,6 @@ class TestCache:
             pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
         ],
     )
-    @pytest.mark.usefixtures("default_recursion_limit")
     def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, caplog, blob):
         request = fixture_request()
         backend = ScriptedBackend({request.fingerprint: "sad"})
@@ -351,6 +347,30 @@ class TestCache:
         assert sorted(type(result).__name__ for result in results) == ["BadRequest", "Completion"]
         assert backend.calls == 2
         assert len(cache.path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_a_fingerprint_holds_no_lock_once_answered(self):
+        cache = CompletionCache(None)
+        requests = [fixture_request(f"prompt {n % 5}") for n in range(40)]
+        fan_out(lambda request: complete(request, MockBackend(), cache=cache), requests, concurrency=8)
+        assert cache._locks == {}
+        # the first of two duplicates fails, and the second sends it again
+        backend = FlakyBackend(failures=1, exc_type=BadRequest)
+        results = fan_out(lambda request: complete(request, backend, cache=cache), [fixture_request()] * 2, 2)
+        assert sorted(type(result).__name__ for result in results) == ["BadRequest", "Completion"]
+        assert cache._locks == {}
+
+    def test_a_hit_takes_no_lock(self, tmp_path):
+        class NoLocks(dict):
+            def setdefault(self, key, default=None):
+                raise AssertionError(f"a lock was taken for {key}")
+
+        requests = [fixture_request(f"prompt {n}") for n in range(20)]
+        cache = CompletionCache(tmp_path)
+        fan_out(lambda request: complete(request, MockBackend(), cache=cache), requests, concurrency=4)
+        for warm in (cache, CompletionCache(tmp_path)):
+            warm._locks = NoLocks()
+            completions = fan_out(lambda request: complete(request, MockBackend(), cache=warm), requests, concurrency=4)
+            assert all(completion.from_cache for completion in completions)
 
     def test_leftover_entry_file_is_ignored(self, tmp_path):
         request = fixture_request()
@@ -505,7 +525,7 @@ class TestRetry:
 
     def test_backoff_delays_grow_exponentially(self):
         sleeps: list[float] = []
-        policy = RetryPolicy(attempts=5, base=1.0, factor=2.0, sleep=sleeps.append)
+        policy = RetryPolicy(attempts=5, sleep=sleeps.append)
         backend = FlakyBackend(failures=99)
         with pytest.raises(BackendExhausted):
             complete(fixture_request(), backend, retry=policy)
@@ -590,7 +610,6 @@ class TestHttpBackend:
             complete(fixture_request(), backend, cache=cache, retry=no_sleep_policy(attempts=2))
         assert not cache.path.exists()
 
-    @pytest.mark.usefixtures("default_recursion_limit")
     def test_body_nested_too_deeply_is_a_malformed_body(self, loopback, tmp_path):
         from textemo.llm import HttpBackend
 
@@ -680,7 +699,7 @@ class TestHttpBackend:
         loopback.script(Reply(429, headers={"Retry-After": "3600"}))
         backend = HttpBackend(endpoint=loopback.url(), api_key="k")
         sleeps: list[float] = []
-        policy = RetryPolicy(attempts=3, base=1.0, factor=2.0, sleep=sleeps.append)
+        policy = RetryPolicy(attempts=3, sleep=sleeps.append)
         assert complete(fixture_request(), backend, retry=policy).raw_text == "sad"
         assert sleeps == [4.0]
 

@@ -103,9 +103,7 @@ class TestRefineRecord:
     def test_llm_match_is_selected(self, sample_record):
         cfg = RefinementConfig(selector="llm")
         candidates = filter_transcriptions(sample_record, cfg)
-        request = CompletionRequest(
-            model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), temperature=0.0, max_tokens=128
-        )
+        request = CompletionRequest(model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), max_tokens=128)
         backend = ScriptedBackend({request.fingerprint: candidates[0][1]})
         outcome = refine_record(sample_record, cfg, backend=backend)
         assert outcome.chosen == candidates[0][1]
@@ -114,9 +112,7 @@ class TestRefineRecord:
     def test_llm_match_modulo_trim_and_case(self, sample_record):
         cfg = RefinementConfig(selector="llm")
         candidates = filter_transcriptions(sample_record, cfg)
-        request = CompletionRequest(
-            model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), temperature=0.0, max_tokens=128
-        )
+        request = CompletionRequest(model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), max_tokens=128)
         backend = ScriptedBackend({request.fingerprint: "  " + candidates[1][1].upper() + " \n"})
         outcome = refine_record(sample_record, cfg, backend=backend)
         # chosen is the candidate text itself, not the response
@@ -126,9 +122,7 @@ class TestRefineRecord:
     def test_non_matching_response_falls_back_to_longest(self, sample_record):
         cfg = RefinementConfig(selector="llm")
         candidates = filter_transcriptions(sample_record, cfg)
-        request = CompletionRequest(
-            model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), temperature=0.0, max_tokens=128
-        )
+        request = CompletionRequest(model="gpt-3.5-turbo", prompt=build_refine_prompt(candidates), max_tokens=128)
         backend = ScriptedBackend({request.fingerprint: "I pick option 2."})
         outcome = refine_record(sample_record, cfg, backend=backend)
         assert outcome.chosen == SAMPLE_LONGEST
