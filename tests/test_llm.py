@@ -94,10 +94,12 @@ class TestFingerprint:
         ["hello", "", "émotion 情绪", 'say "hi"', "back\\slash", "tab\tnl\ncr\r\x00\x1f\x7f", "line\u2028sep", "lone \ud800"],
         ids=["ascii", "empty", "non-ascii", "quote", "backslash", "controls", "u2028", "lone-surrogate"],
     )
+    @pytest.mark.parametrize("temperature", [0.0])
     @pytest.mark.parametrize("model, max_tokens", [("gpt-3.5-turbo", 16), ('m"odèl\\', 128)])
-    def test_is_the_sha256_of_the_canonical_json(self, prompt, model, max_tokens):
-        """The cache and the run log are keyed by these bytes, so they may never drift."""
-        fields = {"model": model, "prompt": prompt, "temperature": 0.0, "max_tokens": max_tokens}
+    def test_is_the_sha256_of_the_canonical_json(self, prompt, temperature, model, max_tokens):
+        """The cache and the run log are keyed by these bytes, so they may never drift; every
+        request is sent at llm.TEMPERATURE, spelled as the float 0.0."""
+        fields = {"model": model, "prompt": prompt, "temperature": temperature, "max_tokens": max_tokens}
         payload = json.dumps(fields, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
         request = CompletionRequest(model=model, prompt=prompt, max_tokens=max_tokens)
         assert request.fingerprint == hashlib.sha256(payload.encode("utf-8")).hexdigest()
