@@ -35,6 +35,10 @@ EXIT_FAILED = 1
 EXIT_IO = 2
 EXIT_BACKEND = 3
 
+# refine's words for RefinementConfig's values: each table is its option's choices and their translation
+_SELECTORS = {"llm": "llm", "longest": "longest_only"}
+_UNITS = {"chars": "characters", "tokens": "tokens"}
+
 
 def _make_cache(args: argparse.Namespace) -> CompletionCache | None:
     """The log in --cache-dir; without one, each run keeps its completions in memory."""
@@ -102,11 +106,9 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
     objects = corpus_mod.read_objects(args.infile)
     corpus = corpus_mod.build_corpus(objects)
-    cfg = refine_mod.RefinementConfig(
-        min_length=refine_mod.DEFAULT_MIN_LENGTH if args.min_length is None else args.min_length,
-        length_unit="characters" if args.unit == "chars" else "tokens",
-        selector="llm" if args.selector == "llm" else "longest_only",
-    )
+    # an option left out is None, and RefinementConfig gives its default
+    given = dict(min_length=args.min_length, length_unit=_UNITS.get(args.unit), selector=_SELECTORS.get(args.selector))
+    cfg = refine_mod.RefinementConfig(**{field: value for field, value in given.items() if value is not None})
     backend = cache = None  # the longest selector sends nothing
     if cfg.selector == "llm":
         backend = make_backend(args.backend, args.mock_seed, args.endpoint)
@@ -268,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="add the refined 'ensemble' transcription")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--selector", choices=["llm", "longest"], default="llm")
-    p.add_argument("--min-length", type=int, default=None)  # None: refine.DEFAULT_MIN_LENGTH
-    p.add_argument("--unit", choices=["chars", "tokens"], default="chars")
+    p.add_argument("--selector", choices=_SELECTORS)
+    p.add_argument("--min-length", type=int)
+    p.add_argument("--unit", choices=_UNITS)
     _add_backend_args(p)
     p.set_defaults(func=cmd_refine)
 

@@ -265,8 +265,6 @@ def is_blank(text: str | None) -> bool:
 
 def select_longest(candidates: list[tuple[str, str]]) -> tuple[str, str]:
     """The (model, text) candidate with the most characters; a tie goes to the first model name."""
-    if not candidates:
-        raise ValueError("no candidates to select from")
     return min(candidates, key=lambda mt: (-len(mt[1]), mt[0]))
 
 

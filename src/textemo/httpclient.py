@@ -22,7 +22,6 @@ from urllib.request import getproxies, proxy_bypass
 if TYPE_CHECKING:
     import ssl
 
-_DIGITS_RE = re.compile(r"[0-9]+")
 _HEX_RE = re.compile(rb"[0-9A-Fa-f]+")
 _STATUS_RE = re.compile(rb"[1-9][0-9][0-9]")
 # Limits http.client keeps on a reply: bytes per line, and header lines per head.
@@ -144,7 +143,7 @@ class Connection:
             keep_alive = keep_alive and length is None  # both framings at once (RFC 9112 section 6.3)
         elif coding is None and length is not None:
             lengths = set(_tokens(length))
-            if len(lengths) != 1 or not _DIGITS_RE.fullmatch(size := lengths.pop()):
+            if len(lengths) != 1 or not ((size := lengths.pop()).isascii() and size.isdigit()):
                 raise ValueError(f"invalid Content-Length {length!r}")
             if int(size) > _MAX_BODY:
                 raise ValueError(f"Content-Length {size} is over the {_MAX_BODY}-byte body cap")

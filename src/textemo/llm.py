@@ -46,8 +46,6 @@ TEMPERATURE = 0.0
 
 _LABEL_RE = re.compile(rf"\b({'|'.join(EVAL_LABELS)})\b")
 _PUNCT_RE = re.compile(r"[^a-z0-9']+")
-# The delta-seconds form of Retry-After (RFC 9110 section 10.2.3); the HTTP-date form is not honoured.
-_DIGITS_RE = re.compile(r"[0-9]+")
 _CONTROL_RE = re.compile(r"[\x00-\x20\x7f]")
 
 # The canonical spelling that fingerprints hash: sorted keys, no spaces, ASCII only.
@@ -224,7 +222,8 @@ class HttpBackend:
             raise AuthError(f"authentication rejected (HTTP {status})", request.fingerprint)
         if status == 429:
             retry_after = headers.get("retry-after", "").strip()
-            delay = float(retry_after) if _DIGITS_RE.fullmatch(retry_after) else None
+            # the delta-seconds form (RFC 9110 section 10.2.3); the HTTP-date form is not honoured
+            delay = float(retry_after) if retry_after.isascii() and retry_after.isdigit() else None
             raise TransportError("rate limited (HTTP 429)", request.fingerprint, retry_after=delay)
         if status != 200:
             text = data.decode("utf-8", "replace")[:200]

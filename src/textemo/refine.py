@@ -23,15 +23,13 @@ SELECTION_INSTRUCTION = (
     "without any additional explanation or phrases."
 )
 
-DEFAULT_MIN_LENGTH = 5
-
 SOURCE_LLM = "llm_selected"
 SOURCE_LONGEST = "longest_fallback"
 SOURCE_ALL_SHORT = "all_short_longest"
 
 
 class _ConfigFields(NamedTuple):
-    min_length: int = DEFAULT_MIN_LENGTH
+    min_length: int = 5
     length_unit: str = "characters"  # or "tokens"
     selector: str = "llm"  # or "longest_only"
 

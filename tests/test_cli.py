@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from textemo.cli import main
+from textemo.cli import build_parser, main
 from textemo.corpus import KNOWN_ASR_MODELS
 from textemo.fixtures import generate_corpus, write_corpus
 
@@ -170,6 +170,18 @@ class TestRefine:
                 v for k, v in obj.items() if k not in ("need_prediction", "emotion", "id", "speaker", "Ground truth", "ensemble")
             ]
             assert obj["ensemble"] in candidates
+
+    def test_selection_options_left_out_are_none(self):
+        args = build_parser().parse_args(["refine", "--in", "a", "--out", "b"])
+        assert (args.selector, args.unit, args.min_length) == (None, None, None)
+
+    def test_without_selection_options_it_selects_by_llm_over_five_characters(self, tmp_path, fixture_corpus):
+        outputs = []
+        for options in ([], ["--selector", "llm", "--min-length", "5", "--unit", "chars"]):
+            out = tmp_path / f"refined-{len(options)}.json"
+            assert main(["refine", "--in", str(fixture_corpus), "--out", str(out), *options]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_concurrency_does_not_change_output(self, tmp_path, fixture_corpus):
         outputs = []

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -31,7 +32,7 @@ from textemo.llm import (
     normalize_label,
 )
 
-from conftest import Reply, ScriptedBackend, chat_body
+from conftest import PROXY_ENV_VARS, Reply, ScriptedBackend, chat_body
 
 SAD = json.dumps(chat_body("sad")).encode("utf-8")
 
@@ -844,6 +845,44 @@ class TestHttpBackend:
         assert backend.send(fixture_request()) == "sad"  # on a new connection
         assert (len(loopback.received), loopback.connections) == (2, 2)
 
+    def test_a_new_connection_that_is_reset_costs_an_attempt(self, monkeypatch, caplog):
+        from textemo.llm import HttpBackend
+
+        for var in PROXY_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+            monkeypatch.delenv(var.upper(), raising=False)
+        # a listener that resets each connection it accepts, with a RST and no reply
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.02)
+        resets: list[int] = []
+        done = threading.Event()
+
+        def reset_each() -> None:
+            while not done.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                conn.close()
+                resets.append(1)
+
+        thread = threading.Thread(target=reset_each, daemon=True)
+        thread.start()
+        try:
+            backend = HttpBackend(endpoint=f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat", api_key="k")
+            with caplog.at_level("WARNING"):
+                with pytest.raises(BackendExhausted, match=r"gave up after 2 attempts: request failed: \[Errno"):
+                    complete(fixture_request(), backend, retry=no_sleep_policy(2))
+        finally:
+            done.set()
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+        # unlike a kept connection dropped while idle, it is not sent again at once
+        assert len(resets) == 2
+        assert [m.partition(": ")[0] for m in caplog.messages] == ["attempt 1/2 failed", "attempt 2/2 failed"]
+
     def test_request_head_is_the_one_http_client_sent(self, loopback):
         from textemo.llm import HttpBackend
 
@@ -951,6 +990,20 @@ class TestHttpBackend:
         assert not cache.path.exists()
         assert backend.send(fixture_request()) == "sad"  # on a new connection
         assert (len(loopback.received), loopback.connections) == (4, 4)
+
+    @pytest.mark.parametrize("call", ["readinto", "sendall"])
+    def test_a_socket_past_its_deadline_times_out_before_waiting(self, call):
+        from textemo.httpclient import _Socket
+
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            sock = _Socket(ours)
+            sock.deadline = time.monotonic() - 1.0
+            with pytest.raises(TimeoutError, match="ran past its timeout"):
+                sock.readinto(bytearray(1)) if call == "readinto" else sock.sendall(b"x")
+            theirs.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                theirs.recv(1)  # nothing was sent
 
     def test_connection_close_header_opens_a_new_connection(self, loopback, caplog):
         from textemo.llm import HttpBackend
